@@ -30,13 +30,13 @@ package cosim
 
 import (
 	"context"
-
 	"fmt"
 
 	"latch/internal/dift"
 	"latch/internal/engine"
 	"latch/internal/isa"
 	"latch/internal/latch"
+	"latch/internal/policy"
 	"latch/internal/shadow"
 	"latch/internal/telemetry"
 	"latch/internal/vm"
@@ -117,7 +117,7 @@ type System struct {
 var _ vm.Tracker = (*System)(nil)
 
 // New builds a co-simulated system with the given DIFT policy.
-func New(cfg Config, pol dift.Policy) (*System, error) {
+func New(cfg Config, pol policy.Policy) (*System, error) {
 	if cfg.Latch.Clear == latch.EagerClear {
 		return nil, fmt.Errorf("cosim: S-LATCH co-simulation requires lazy or disabled clears")
 	}
@@ -230,7 +230,13 @@ func (s *System) Commit(pc uint32, in isa.Instr, addr uint32) error {
 		return err
 	}
 	if ss.Mode() == ModeHardware {
-		s.updateTRF(in, addr)
+		loadTag := shadow.TagClean
+		if in.Op.Class() == isa.ClassLoad {
+			// A load that did not trap read coarse-clean (or precise-clean)
+			// memory; mirror the engine's byte-precise verdict.
+			loadTag = s.Engine.RegTaint(int(in.Rd)).Union()
+		}
+		updateTRF(s.Module.TRF(), in, loadTag)
 	}
 	return nil
 }
@@ -239,20 +245,7 @@ func (s *System) Commit(pc uint32, in isa.Instr, addr uint32) error {
 // register sources, the coarse stack for memory operands (with CTC-miss
 // cycles charged through the session).
 func (s *System) hardwarePositive(in isa.Instr, addr uint32) bool {
-	trf := s.Module.TRF()
-	positive := false
-	switch in.Op.Class() {
-	case isa.ClassMove, isa.ClassALUImm:
-		positive = trf.Tainted(int(in.Rs1))
-	case isa.ClassALU2:
-		positive = trf.Tainted(int(in.Rs1)) || trf.Tainted(int(in.Rs2))
-	case isa.ClassBranch:
-		positive = trf.Tainted(int(in.Rd)) || trf.Tainted(int(in.Rs1))
-	case isa.ClassJumpInd:
-		positive = trf.Tainted(int(in.Rs1))
-	case isa.ClassStore:
-		positive = trf.Tainted(int(in.Rd))
-	}
+	positive := trfSourceTainted(s.Module.TRF(), in)
 	if in.ReadsMem() || in.WritesMem() {
 		res := s.sess.CheckMem(addr, in.Op.MemSize())
 		positive = positive || res.CoarsePositive
@@ -264,31 +257,48 @@ func (s *System) hardwarePositive(in isa.Instr, addr uint32) bool {
 // dismissed instruction's register sources.
 func (s *System) refreshTRF(in isa.Instr) {
 	trf := s.Module.TRF()
-	clearIfClean := func(r int) {
-		if !s.Engine.RegTaint(r).Tainted() {
+	for _, r := range trfSources(in) {
+		if r >= 0 && !s.Engine.RegTaint(r).Tainted() {
 			trf.Set(r, shadow.TagClean)
 		}
 	}
-	switch in.Op.Class() {
-	case isa.ClassMove, isa.ClassALUImm, isa.ClassJumpInd:
-		clearIfClean(int(in.Rs1))
-	case isa.ClassALU2:
-		clearIfClean(int(in.Rs1))
-		clearIfClean(int(in.Rs2))
-	case isa.ClassBranch:
-		clearIfClean(int(in.Rd))
-		clearIfClean(int(in.Rs1))
-	case isa.ClassStore:
-		clearIfClean(int(in.Rd))
-	}
 }
 
-// updateTRF applies the hardware's single-bit register taint propagation
-// after an un-trapped (hence taint-source-free) instruction.
-func (s *System) updateTRF(in isa.Instr, addr uint32) {
-	trf := s.Module.TRF()
+// trfSources lists the register sources the hardware checks in the TRF
+// (for stores, the data register); -1 marks an unused slot. Both
+// co-simulated machines trap or enqueue on exactly this set.
+func trfSources(in isa.Instr) [2]int {
 	switch in.Op.Class() {
-	case isa.ClassMove:
+	case isa.ClassMove, isa.ClassALUImm, isa.ClassJumpInd:
+		return [2]int{int(in.Rs1), -1}
+	case isa.ClassALU2:
+		return [2]int{int(in.Rs1), int(in.Rs2)}
+	case isa.ClassBranch:
+		return [2]int{int(in.Rd), int(in.Rs1)}
+	case isa.ClassStore:
+		return [2]int{int(in.Rd), -1}
+	}
+	return [2]int{-1, -1}
+}
+
+// trfSourceTainted reports whether any of in's TRF-checked register
+// sources carries taint.
+func trfSourceTainted(trf *latch.TRF, in isa.Instr) bool {
+	for _, r := range trfSources(in) {
+		if r >= 0 && trf.Tainted(r) {
+			return true
+		}
+	}
+	return false
+}
+
+// updateTRF is the hardware's single-bit register taint propagation over
+// one committed instruction. The two machines differ only in what a load
+// writes, so the caller supplies loadTag: S-LATCH mirrors the precise
+// engine's verdict, P-LATCH's monitored core the coarse one.
+func updateTRF(trf *latch.TRF, in isa.Instr, loadTag shadow.Tag) {
+	switch in.Op.Class() {
+	case isa.ClassMove, isa.ClassALUImm:
 		trf.Set(int(in.Rd), trf.Get(int(in.Rs1)))
 	case isa.ClassImm:
 		trf.Set(int(in.Rd), shadow.TagClean)
@@ -298,12 +308,8 @@ func (s *System) updateTRF(in isa.Instr, addr uint32) {
 			break
 		}
 		trf.Set(int(in.Rd), trf.Get(int(in.Rs1))|trf.Get(int(in.Rs2)))
-	case isa.ClassALUImm:
-		trf.Set(int(in.Rd), trf.Get(int(in.Rs1)))
 	case isa.ClassLoad:
-		// A load that did not trap read coarse-clean (or precise-clean)
-		// memory; mirror the engine's byte-precise verdict.
-		trf.Set(int(in.Rd), s.Engine.RegTaint(int(in.Rd)).Union())
+		trf.Set(int(in.Rd), loadTag)
 	case isa.ClassJump, isa.ClassJumpInd:
 		if in.Op == isa.CALL || in.Op == isa.CALLR {
 			trf.Set(isa.RegLR, shadow.TagClean)

@@ -7,6 +7,7 @@ import (
 	"latch/internal/engine"
 	"latch/internal/isa"
 	"latch/internal/latch"
+	"latch/internal/policy"
 	"latch/internal/shadow"
 	"latch/internal/telemetry"
 	"latch/internal/trace"
@@ -27,13 +28,16 @@ type Monitor struct {
 	Session *engine.Session
 
 	backend engine.Backend
+	// one is the one-event delivery slice Commit hands the backend; a field
+	// rather than a local so delivery does not allocate.
+	one [1]trace.Event
 }
 
 var _ vm.Tracker = (*Monitor)(nil)
 
 // NewMonitor builds a co-simulated machine around the named registered
 // backend in its paper-default configuration.
-func NewMonitor(backendName string, pol dift.Policy, obs telemetry.Observer) (*Monitor, error) {
+func NewMonitor(backendName string, pol policy.Policy, obs telemetry.Observer) (*Monitor, error) {
 	sch, err := engine.Lookup(backendName)
 	if err != nil {
 		return nil, err
@@ -45,7 +49,7 @@ func NewMonitor(backendName string, pol dift.Policy, obs telemetry.Observer) (*M
 // constructed (and possibly specially configured) backend instance — the
 // differential checker uses this to sweep the concurrent backend's shard
 // counts. The backend must be fresh: one instance serves one run.
-func NewMonitorBackend(b engine.Backend, pol dift.Policy, obs telemetry.Observer) (*Monitor, error) {
+func NewMonitorBackend(b engine.Backend, pol policy.Policy, obs telemetry.Observer) (*Monitor, error) {
 	sess, err := engine.NewSession(b.Config())
 	if err != nil {
 		return nil, err
@@ -105,13 +109,13 @@ func (m *Monitor) IndirectTarget(pc uint32, reg int, target uint32) error {
 	return m.Engine.IndirectTarget(pc, reg, target)
 }
 
-// Commit translates the committed instruction into a trace event, steps the
-// backend, then lets the precise engine propagate.
+// Commit translates the committed instruction into a trace event, delivers
+// it to the backend as a one-event slice, then lets the precise engine
+// propagate. The backend advances the cursor, as under the profile driver.
 func (m *Monitor) Commit(pc uint32, in isa.Instr, addr uint32) error {
-	ss := m.Session
-	ss.Events++
-	ev := trace.Event{
-		Seq:     ss.Events,
+	ev := &m.one[0]
+	*ev = trace.Event{
+		Seq:     m.Session.Events + 1,
 		PC:      pc,
 		IsMem:   in.ReadsMem() || in.WritesMem(),
 		IsWrite: in.WritesMem(),
@@ -121,7 +125,7 @@ func (m *Monitor) Commit(pc uint32, in isa.Instr, addr uint32) error {
 		ev.Addr = addr
 		ev.Size = uint8(in.Op.MemSize())
 	}
-	m.backend.Step(ss, ev)
+	m.backend.StepBatch(m.Session, m.one[:])
 	return m.Engine.Commit(pc, in, addr)
 }
 

@@ -2,13 +2,14 @@ package cosim
 
 import (
 	"context"
-
 	"fmt"
 
 	"latch/internal/dift"
 	"latch/internal/engine"
 	"latch/internal/isa"
 	"latch/internal/latch"
+	"latch/internal/platch"
+	"latch/internal/policy"
 	"latch/internal/shadow"
 	"latch/internal/telemetry"
 	"latch/internal/vm"
@@ -109,7 +110,7 @@ type Parallel struct {
 	Shadow  *shadow.Shadow
 
 	cfg  ParallelConfig
-	pend *pendingRing
+	pend *platch.PendingFIFO
 
 	queue         []logEntry
 	monitorBudget float64
@@ -118,55 +119,10 @@ type Parallel struct {
 	violations []DeferredViolation
 }
 
-// pendingRing mirrors platch's pending-update FIFO for the co-simulation.
-type pendingRing struct {
-	ring    []uint32
-	head    int
-	count   int
-	domains map[uint32]int
-}
-
-func newPendingRing(capacity int) *pendingRing {
-	if capacity <= 0 {
-		return nil
-	}
-	return &pendingRing{ring: make([]uint32, capacity), domains: make(map[uint32]int)}
-}
-
-func (p *pendingRing) full() bool { return p.count == len(p.ring) }
-
-func (p *pendingRing) push(domain uint32) {
-	if p.full() {
-		p.pop() // callers stall before this can drop a live entry
-	}
-	p.ring[(p.head+p.count)%len(p.ring)] = domain
-	p.count++
-	p.domains[domain]++
-}
-
-func (p *pendingRing) pop() {
-	if p.count == 0 {
-		return
-	}
-	d := p.ring[p.head]
-	p.head = (p.head + 1) % len(p.ring)
-	p.count--
-	if n := p.domains[d]; n <= 1 {
-		delete(p.domains, d)
-	} else {
-		p.domains[d] = n - 1
-	}
-}
-
-func (p *pendingRing) pending(domain uint32) bool {
-	_, ok := p.domains[domain]
-	return ok
-}
-
 // NewParallel builds the two-core machine with the given DIFT policy. The
 // monitor's engine never fails fast: violations are recorded with their
 // detection lag and surfaced through Violations().
-func NewParallel(cfg ParallelConfig, pol dift.Policy) (*Parallel, error) {
+func NewParallel(cfg ParallelConfig, pol policy.Policy) (*Parallel, error) {
 	if cfg.QueueDepth <= 0 {
 		return nil, fmt.Errorf("cosim: queue depth %d must be positive", cfg.QueueDepth)
 	}
@@ -184,7 +140,7 @@ func NewParallel(cfg ParallelConfig, pol dift.Policy) (*Parallel, error) {
 		Module: sess.Module,
 		Shadow: sess.Shadow,
 		cfg:    cfg,
-		pend:   newPendingRing(cfg.PendingEntries),
+		pend:   platch.NewPendingFIFO(cfg.PendingEntries),
 		queue:  make([]logEntry, 0, cfg.QueueDepth),
 	}
 	p.Engine.SetObserver(cfg.Observer)
@@ -221,7 +177,7 @@ func (p *Parallel) processOne() {
 	// The processed store's coarse update is now visible: the monitored
 	// core's matching pending-FIFO entry retires (§5.2's pop signal).
 	if e.in.WritesMem() && p.pend != nil {
-		p.pend.pop()
+		p.pend.Pop()
 	}
 	before := len(p.Engine.Violations())
 	if e.in.Op.Class() == isa.ClassJumpInd {
@@ -286,13 +242,20 @@ func (p *Parallel) Commit(pc uint32, in isa.Instr, addr uint32) error {
 	if in.ReadsMem() || in.WritesMem() {
 		res := p.Module.CheckMem(addr, in.Op.MemSize())
 		memPositive = res.CoarsePositive
-		if !memPositive && p.pend != nil && p.pend.pending(p.Shadow.DomainIndex(addr)) {
+		if !memPositive && p.pend != nil && p.pend.Pending(p.Shadow.DomainIndex(addr)) {
 			memPositive = true
 			p.stats.PendingExtra++
 		}
 	}
-	enq := !p.cfg.Filtered || memPositive || p.trfSourceTainted(in)
-	p.updateTRF(in, memPositive)
+	enq := !p.cfg.Filtered || memPositive || trfSourceTainted(p.Module.TRF(), in)
+	// Loads adopt the coarse verdict for their address: a conservative
+	// over-approximation the hardware can compute without waiting for the
+	// monitor.
+	loadTag := shadow.TagClean
+	if memPositive {
+		loadTag = shadow.MustLabel(0)
+	}
+	updateTRF(p.Module.TRF(), in, loadTag)
 	if !enq {
 		return nil
 	}
@@ -300,7 +263,7 @@ func (p *Parallel) Commit(pc uint32, in isa.Instr, addr uint32) error {
 	// A full log queue — or, for stores, a full pending-update FIFO —
 	// stalls the monitored core at the monitor's service rate.
 	for len(p.queue) >= p.cfg.QueueDepth ||
-		(in.WritesMem() && p.pend != nil && p.pend.full() && len(p.queue) > 0) {
+		(in.WritesMem() && p.pend != nil && p.pend.Full() && len(p.queue) > 0) {
 		if p.cfg.Observer != nil {
 			p.cfg.Observer.QueueStall(len(p.queue))
 		}
@@ -314,56 +277,10 @@ func (p *Parallel) Commit(pc uint32, in isa.Instr, addr uint32) error {
 	}
 	p.stats.Enqueued++
 	if in.WritesMem() && p.pend != nil {
-		p.pend.push(p.Shadow.DomainIndex(addr))
+		// Expiry 0: entries retire only as the monitor pops them.
+		p.pend.Push(p.Shadow.DomainIndex(addr), 0)
 	}
 	return nil
-}
-
-// trfSourceTainted consults the hardware taint register file for the
-// instruction's register sources (for stores, the data register).
-func (p *Parallel) trfSourceTainted(in isa.Instr) bool {
-	trf := p.Module.TRF()
-	switch in.Op.Class() {
-	case isa.ClassMove, isa.ClassALUImm, isa.ClassJumpInd:
-		return trf.Tainted(int(in.Rs1))
-	case isa.ClassALU2:
-		return trf.Tainted(int(in.Rs1)) || trf.Tainted(int(in.Rs2))
-	case isa.ClassBranch, isa.ClassStore:
-		return trf.Tainted(int(in.Rd)) || (in.Op.Class() == isa.ClassBranch && trf.Tainted(int(in.Rs1)))
-	}
-	return false
-}
-
-// updateTRF is the monitored core's synchronous single-bit register taint
-// propagation: loads adopt the coarse verdict for their address (a
-// conservative over-approximation that the hardware can compute without
-// waiting for the monitor), everything else follows the union rules.
-func (p *Parallel) updateTRF(in isa.Instr, memPositive bool) {
-	trf := p.Module.TRF()
-	switch in.Op.Class() {
-	case isa.ClassMove:
-		trf.Set(int(in.Rd), trf.Get(int(in.Rs1)))
-	case isa.ClassImm:
-		trf.Set(int(in.Rd), shadow.TagClean)
-	case isa.ClassALU2:
-		if in.Op == isa.XOR && in.Rs1 == in.Rs2 {
-			trf.Set(int(in.Rd), shadow.TagClean)
-			break
-		}
-		trf.Set(int(in.Rd), trf.Get(int(in.Rs1))|trf.Get(int(in.Rs2)))
-	case isa.ClassALUImm:
-		trf.Set(int(in.Rd), trf.Get(int(in.Rs1)))
-	case isa.ClassLoad:
-		if memPositive {
-			trf.Set(int(in.Rd), shadow.MustLabel(0))
-		} else {
-			trf.Set(int(in.Rd), shadow.TagClean)
-		}
-	case isa.ClassJump, isa.ClassJumpInd:
-		if in.Op == isa.CALL || in.Op == isa.CALLR {
-			trf.Set(isa.RegLR, shadow.TagClean)
-		}
-	}
 }
 
 // Input applies taint synchronously: the hardware taints source data as it

@@ -175,21 +175,3 @@ func TestParallelSubstitutionFiltersWell(t *testing.T) {
 		t.Fatal("monitor state wrong: input clean")
 	}
 }
-
-func TestPendingRing(t *testing.T) {
-	r := newPendingRing(2)
-	r.push(1)
-	r.push(2)
-	r.push(3) // evicts 1
-	if r.pending(1) || !r.pending(2) || !r.pending(3) {
-		t.Fatal("ring membership wrong")
-	}
-	if newPendingRing(0) != nil {
-		t.Fatal("zero capacity should disable")
-	}
-	empty := newPendingRing(1)
-	empty.pop() // popping empty is a no-op
-	if empty.count != 0 {
-		t.Fatal("pop on empty corrupted state")
-	}
-}

@@ -44,10 +44,10 @@ func (m Mode) String() string {
 }
 
 // Backend is one integration of the LATCH module. It owns the
-// scheme-specific policy — the per-event step, when to trap, and how to
-// report the run — while the engine owns the Session's shared machinery.
-// A Backend instance serves exactly one run; factories registered with
-// Register produce a fresh one per run.
+// scheme-specific policy — the step over the commit stream, when to trap,
+// and how to report the run — while the engine owns the Session's shared
+// machinery. A Backend instance serves exactly one run; factories
+// registered with Register produce a fresh one per run.
 type Backend interface {
 	// Name is the registry key ("slatch", "platch", "hlatch", ...).
 	Name() string
@@ -57,26 +57,22 @@ type Backend interface {
 	// profile, observer) exists and before the first event. Returning an
 	// error aborts the run.
 	Init(s *Session) error
-	// Step consumes one stream event. The Session's Events cursor has
-	// already advanced to include ev.
-	Step(s *Session, ev trace.Event)
+	// StepBatch consumes the next events of the stream, in order — the
+	// software analog of the paper's commit-stream FIFO, where the monitor
+	// drains whole log chunks per activation (§5.2). The backend owns the
+	// cursor: it advances s.Events by one per event, and implementations
+	// whose per-event logic reads s.Events (pending-window filters, epoch
+	// transitions) advance it before processing each event. Drivers may
+	// deliver slices of any length, down to one event.
+	StepBatch(s *Session, evs []trace.Event)
 	// Finish produces the run's result after the last event.
 	Finish(s *Session) Result
 }
 
-// BatchBackend is the optional Backend extension for integrations that
-// consume the stream in batches — the software analog of the paper's
-// commit-stream FIFO, where the monitor drains whole log chunks per
-// activation instead of taking one call per committed instruction.
-// StepBatch(s, evs) must be observably equivalent to, for each event in
-// order, advancing s.Events by one and then calling Step: under the batched
-// driver the backend owns the cursor, so implementations whose per-event
-// logic reads s.Events (pending-window filters, epoch transitions) must
-// advance it before processing each event.
-type BatchBackend interface {
-	Backend
-	StepBatch(s *Session, evs []trace.Event)
-}
+// BatchBackend is an alias for Backend. It survives only because the
+// benchmark harness (latchbench/decorator.go) names it, and that harness
+// does not change together with the engine.
+type BatchBackend = Backend
 
 // Sharded is the optional Backend extension for integrations whose monitor
 // fans out over N parallel shards (the concurrent P-LATCH backend). The
@@ -118,11 +114,10 @@ type Result interface {
 // of the cancellation.
 const CancelCheckEvents = 4096
 
-// EventBatchSize is the profile driver's delivery batch: for BatchBackend
-// integrations, events accumulate in a fixed buffer handed over in slices of
-// at most this many. It divides CancelCheckEvents, so batch boundaries land
-// exactly on cancellation-poll boundaries and the poll granularity is
-// unchanged.
+// EventBatchSize is the profile driver's delivery batch: events accumulate
+// in a fixed buffer handed to the backend in slices of at most this many.
+// It divides CancelCheckEvents, so batch boundaries land exactly on
+// cancellation-poll boundaries and the poll granularity is unchanged.
 const EventBatchSize = 512
 
 // RunOptions parameterizes one profile-driven run.
@@ -207,32 +202,14 @@ func RunProfileSession(ctx context.Context, b Backend, p workload.Profile, opts 
 	if err := b.Init(s); err != nil {
 		return nil, nil, err
 	}
-	done := ctx.Done()
-	if bb, ok := b.(BatchBackend); ok {
-		// Batched delivery: identical events, identical order, identical
-		// cursor positions — one StepBatch call per buffer instead of one
-		// interface call per event. The generator drains the buffer (via
-		// trace.Flusher) before every shadow mutation, so each event is
-		// checked against the same state as under per-event delivery.
-		bs := &batchingSink{bb: bb, s: s, g: g, done: done}
-		g.Run(opts.Events, bs)
-		// A canceled run drops the undelivered tail, exactly as the
-		// per-event driver stops at the poll boundary.
-		if !g.Stopped() {
-			bs.Flush()
-		}
-	} else {
-		g.Run(opts.Events, trace.SinkFunc(func(ev trace.Event) {
-			s.Events++
-			b.Step(s, ev)
-			if s.Events&(CancelCheckEvents-1) == 0 && done != nil {
-				select {
-				case <-done:
-					g.Stop()
-				default:
-				}
-			}
-		}))
+	// Batched delivery: one StepBatch call per buffer. The generator drains
+	// the buffer (via trace.Flusher) before every shadow mutation, so each
+	// event is checked against the same state as under one-event delivery.
+	bs := &batchingSink{b: b, s: s, g: g, done: ctx.Done()}
+	g.Run(opts.Events, bs)
+	// A canceled run drops the undelivered tail at the poll boundary.
+	if !g.Stopped() {
+		bs.Flush()
 	}
 	// Finalize unconditionally: for sharded backends Finish closes the
 	// rings and joins the monitor goroutines, which must happen on the
@@ -244,16 +221,15 @@ func RunProfileSession(ctx context.Context, b Backend, p workload.Profile, opts 
 	return res, s, nil
 }
 
-// batchingSink is the profile driver's buffering sink for BatchBackend
-// integrations: the commit-stream FIFO between the generator and the
-// monitor. Events accumulate in a fixed buffer delivered in one StepBatch
-// call when full — or earlier, when the generator calls Flush before
-// mutating the shadow state. Cancellation is polled on the flush after each
-// CancelCheckEvents-sized stretch of the stream (barrier flushes shift batch
-// boundaries, so the poll keys off a watermark rather than an alignment
-// mask).
+// batchingSink is the profile driver's buffering sink: the commit-stream
+// FIFO between the generator and the monitor. Events accumulate in a fixed
+// buffer delivered in one StepBatch call when full — or earlier, when the
+// generator calls Flush before mutating the shadow state. Cancellation is
+// polled on the flush after each CancelCheckEvents-sized stretch of the
+// stream (barrier flushes shift batch boundaries, so the poll keys off a
+// watermark rather than an alignment mask).
 type batchingSink struct {
-	bb       BatchBackend
+	b        Backend
 	s        *Session
 	g        *workload.Generator
 	done     <-chan struct{}
@@ -276,7 +252,7 @@ func (k *batchingSink) Flush() {
 	if k.n == 0 {
 		return
 	}
-	k.bb.StepBatch(k.s, k.buf[:k.n])
+	k.b.StepBatch(k.s, k.buf[:k.n])
 	k.n = 0
 	if k.s.Events-k.lastPoll >= CancelCheckEvents && k.done != nil {
 		k.lastPoll = k.s.Events
@@ -300,8 +276,8 @@ func RunScheme(ctx context.Context, name string, p workload.Profile, opts RunOpt
 
 // NewSession builds the per-run state every backend shares: the
 // byte-precise shadow taint state and the latch module attached to it.
-// Profile-driven runs go through RunProfile, which also owns the stream
-// cursor; program-driven runs (the co-simulations) drive Step themselves.
+// Profile-driven runs go through RunProfile; program-driven runs (the
+// co-simulations) deliver the commit stream through StepBatch themselves.
 func NewSession(cfg latch.Config) (*Session, error) {
 	sh, err := shadow.New(cfg.DomainSize)
 	if err != nil {

@@ -2,11 +2,13 @@ package engine_test
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 
 	"latch/internal/engine"
 	"latch/internal/latch"
+	"latch/internal/policy"
 	"latch/internal/telemetry"
 	"latch/internal/trace"
 	"latch/internal/workload"
@@ -40,11 +42,14 @@ func (b *fakeBackend) Init(s *engine.Session) error {
 	b.inited = true
 	return nil
 }
-func (b *fakeBackend) Step(s *engine.Session, ev trace.Event) {
-	b.steps++
-	if ev.IsMem {
-		b.mem++
-		s.CheckMem(ev.Addr, int(ev.Size))
+func (b *fakeBackend) StepBatch(s *engine.Session, evs []trace.Event) {
+	for _, ev := range evs {
+		s.Events++
+		b.steps++
+		if ev.IsMem {
+			b.mem++
+			s.CheckMem(ev.Addr, int(ev.Size))
+		}
 	}
 }
 func (b *fakeBackend) Finish(s *engine.Session) engine.Result {
@@ -333,5 +338,103 @@ func TestRegistrationIsImportDriven(t *testing.T) {
 	}
 	if !strings.Contains(engine.ModeSoftware.String(), "software") {
 		t.Fatal("unexpected mode name")
+	}
+}
+
+// cancelBackend is fakeBackend cancelling its own run once it has consumed
+// at least `after` events, and recording whether it was finalized.
+type cancelBackend struct {
+	fakeBackend
+	after    uint64
+	cancel   context.CancelFunc
+	finished bool
+}
+
+func (b *cancelBackend) StepBatch(s *engine.Session, evs []trace.Event) {
+	b.fakeBackend.StepBatch(s, evs)
+	if s.Events >= b.after {
+		b.cancel()
+	}
+}
+
+func (b *cancelBackend) Finish(s *engine.Session) engine.Result {
+	b.finished = true
+	return b.fakeBackend.Finish(s)
+}
+
+func TestRunProfileCancellation(t *testing.T) {
+	p := workload.MustGet("gcc")
+	const events, after = 200_000, 10_000
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	b := &cancelBackend{fakeBackend: fakeBackend{cfg: latch.DefaultConfig()}, after: after, cancel: cancel}
+	res, err := engine.RunProfile(ctx, b, p, engine.RunOptions{Events: events})
+	if err != context.Canceled || res != nil {
+		t.Fatalf("mid-run cancel: res=%v err=%v, want nil, context.Canceled", res, err)
+	}
+	if !b.finished {
+		t.Fatal("canceled run was not finalized")
+	}
+	// The stream stops within one poll interval plus one batch of the
+	// cancellation.
+	if b.steps < after || b.steps > after+engine.CancelCheckEvents+engine.EventBatchSize {
+		t.Fatalf("canceled after %d events, want within [%d, %d]", b.steps, after, after+engine.CancelCheckEvents+engine.EventBatchSize)
+	}
+
+	// A context canceled up front aborts before the backend initializes.
+	b = &cancelBackend{fakeBackend: fakeBackend{cfg: latch.DefaultConfig()}}
+	if _, err := engine.RunProfile(ctx, b, p, engine.RunOptions{Events: events}); err != context.Canceled {
+		t.Fatalf("pre-canceled run: err=%v, want context.Canceled", err)
+	}
+	if b.inited || b.finished {
+		t.Fatal("pre-canceled run reached the backend")
+	}
+}
+
+func TestRunProfileRecycledSession(t *testing.T) {
+	p := workload.MustGet("gcc")
+	opts := engine.RunOptions{Events: 20_000}
+	fresh, s, err := engine.RunProfileSession(context.Background(), &fakeBackend{cfg: latch.DefaultConfig()}, p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Session = s
+	recycled, s2, err := engine.RunProfileSession(context.Background(), &fakeBackend{cfg: latch.DefaultConfig()}, p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s2 != s || recycled != fresh {
+		t.Fatalf("recycled run differs: %+v vs %+v (same session %v)", recycled, fresh, s2 == s)
+	}
+	other := latch.DefaultConfig()
+	other.DomainSize *= 2
+	if _, err := engine.RunProfile(context.Background(), &fakeBackend{cfg: other}, p, opts); err == nil {
+		t.Fatal("recycled session with mismatched geometry accepted")
+	}
+	s.Recycle()
+	if s.Events != 0 || s.Shadow.TaintedBytes() != 0 || s.Mode() != engine.ModeHardware {
+		t.Fatalf("Recycle left state behind: events=%d tainted=%d mode=%v", s.Events, s.Shadow.TaintedBytes(), s.Mode())
+	}
+}
+
+// initErrBackend fails its Init.
+type initErrBackend struct{ fakeBackend }
+
+func (b *initErrBackend) Init(*engine.Session) error { return errors.New("init refused") }
+
+func TestRunProfileRejects(t *testing.T) {
+	p := workload.MustGet("gcc")
+	bad := engine.RunOptions{Events: 10, Policy: policy.Policy{Sampling: policy.Sampling{SampleFraction: 2}}}
+	if _, err := engine.RunProfile(context.Background(), &fakeBackend{cfg: latch.DefaultConfig()}, p, bad); err == nil {
+		t.Fatal("invalid policy accepted")
+	}
+	if _, err := engine.RunProfile(context.Background(), &initErrBackend{fakeBackend{cfg: latch.DefaultConfig()}}, p,
+		engine.RunOptions{Events: 10}); err == nil || !strings.Contains(err.Error(), "init refused") {
+		t.Fatalf("Init error not returned: %v", err)
+	}
+	cfg := latch.DefaultConfig()
+	cfg.DomainSize = 3
+	if _, err := engine.RunProfile(context.Background(), &fakeBackend{cfg: cfg}, p, engine.RunOptions{Events: 10}); err == nil {
+		t.Fatal("bad geometry accepted")
 	}
 }

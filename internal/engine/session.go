@@ -53,7 +53,7 @@ type Session struct {
 	// the stream may end earlier.
 	Target uint64
 	// Events counts consumed stream events (equivalently, committed
-	// instructions); the driver advances it before each Step.
+	// instructions); the backend advances it in StepBatch, one per event.
 	Events uint64
 
 	// Cycles accumulates the run's integer cycle categories. The Libdft

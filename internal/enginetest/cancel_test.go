@@ -140,10 +140,13 @@ func (r countResult) Columns() []engine.Column { return nil }
 func (b *countBackend) Name() string                 { return "count" }
 func (b *countBackend) Config() latch.Config         { return b.cfg }
 func (b *countBackend) Init(s *engine.Session) error { return nil }
-func (b *countBackend) Step(s *engine.Session, ev trace.Event) {
-	if ev.IsMem {
-		b.mem++
-		s.CheckMem(ev.Addr, int(ev.Size))
+func (b *countBackend) StepBatch(s *engine.Session, evs []trace.Event) {
+	s.Events += uint64(len(evs))
+	for _, ev := range evs {
+		if ev.IsMem {
+			b.mem++
+			s.CheckMem(ev.Addr, int(ev.Size))
+		}
 	}
 }
 func (b *countBackend) Finish(s *engine.Session) engine.Result {

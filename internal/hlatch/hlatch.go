@@ -117,17 +117,10 @@ func (b *backend) Config() latch.Config { return b.cfg.Latch }
 // Init implements engine.Backend.
 func (b *backend) Init(*engine.Session) error { return nil }
 
-// Step implements engine.Backend. H-LATCH charges no miss cycles: the
-// hardware stack is evaluated by hit rates, not a runtime model.
-func (b *backend) Step(s *engine.Session, ev trace.Event) {
-	if ev.IsMem {
-		s.Module.CheckMem(ev.Addr, int(ev.Size))
-	}
-}
-
-// StepBatch implements engine.BatchBackend. H-LATCH's per-event logic never
+// StepBatch implements engine.Backend. H-LATCH's per-event logic never
 // reads the cursor, so it advances wholesale and only memory events pay any
-// per-event work at all.
+// per-event work at all. H-LATCH charges no miss cycles: the hardware stack
+// is evaluated by hit rates, not a runtime model.
 func (b *backend) StepBatch(s *engine.Session, evs []trace.Event) {
 	s.Events += uint64(len(evs))
 	for i := range evs {

@@ -1,7 +1,7 @@
 // Concurrent P-LATCH ("cplatch"): the §5.2 two-core design made real. The
 // analytic backend in this package models the commit-log FIFO and the
 // monitor core with a queue simulation evaluated after the fact; this file
-// runs them. The monitored core (the engine's driver loop, calling Step)
+// runs them. The monitored core (the engine's driver, calling StepBatch)
 // filters the commit stream through the shared LATCH policy and publishes
 // every flagged instruction into a lock-free SPSC ring (internal/ring); N
 // monitor shards — one consumer goroutine each, partitioned by coarse
@@ -398,34 +398,31 @@ func (b *cbackend) Init(s *engine.Session) error {
 	return nil
 }
 
-// Step implements engine.Backend: run the shared enqueue policy on the
+// StepBatch implements engine.Backend: run the shared enqueue policy on the
 // monitored core, then publish flagged instructions to the owning shard's
 // ring. Steady-state cost on the producer side is the coarse check plus
-// one ring slot write per flagged event — no allocation, no locks.
-func (b *cbackend) Step(s *engine.Session, ev trace.Event) {
-	enq, viaPending := b.filt.decide(s, ev)
-	b.win.step(ev.Tainted)
-	if !enq {
-		return
-	}
-	domain := s.Shadow.DomainIndex(ev.Addr)
-	b.shards[int(domain)%len(b.shards)].ring.Push(monEvent{
-		seq:     s.Events,
-		pc:      ev.PC,
-		addr:    ev.Addr,
-		domain:  domain,
-		write:   ev.IsWrite,
-		tainted: ev.Tainted,
-		pending: viaPending,
-	})
-}
-
-// StepBatch implements engine.BatchBackend. Shard sequence numbers come from
-// s.Events, so the cursor advances before each event.
+// one ring slot write per flagged event — no allocation, no locks. Shard
+// sequence numbers come from s.Events, so the cursor advances before each
+// event.
 func (b *cbackend) StepBatch(s *engine.Session, evs []trace.Event) {
 	for i := range evs {
+		ev := &evs[i]
 		s.Events++
-		b.Step(s, evs[i])
+		enq, viaPending := b.filt.decide(s, *ev)
+		b.win.step(ev.Tainted)
+		if !enq {
+			continue
+		}
+		domain := s.Shadow.DomainIndex(ev.Addr)
+		b.shards[int(domain)%len(b.shards)].ring.Push(monEvent{
+			seq:     s.Events,
+			pc:      ev.PC,
+			addr:    ev.Addr,
+			domain:  domain,
+			write:   ev.IsWrite,
+			tainted: ev.Tainted,
+			pending: viaPending,
+		})
 	}
 }
 

@@ -3,7 +3,7 @@ package platch
 // This file measures the concurrent P-LATCH pipeline and writes the
 // committed perf artifact BENCH_cplatch.json: the serial analytic backend
 // against the concurrent backend at 1/2/4/8 monitor shards, plus the
-// producer-side Step cost. It is a no-op unless -cplatch-bench-out is
+// producer-side StepBatch cost. It is a no-op unless -cplatch-bench-out is
 // given (`make bench` passes it), so the normal test run stays fast.
 
 import (
@@ -69,14 +69,11 @@ func newProducerHarness(tb testing.TB) *producerHarness {
 	return &producerHarness{b: b, s: s, evs: evs, drain: make([]monEvent, 4096)}
 }
 
-// step streams the prepared events through the producer-side Step once and
-// drains the ring in place. Everything it calls is allocation-free in
-// steady state.
+// step streams the prepared events through the producer-side StepBatch
+// once and drains the ring in place. Everything it calls is
+// allocation-free in steady state.
 func (h *producerHarness) step() {
-	for _, ev := range h.evs {
-		h.s.Events++
-		h.b.Step(h.s, ev)
-	}
+	h.b.StepBatch(h.s, h.evs)
 	h.b.shards[0].ring.Flush()
 	for h.b.shards[0].ring.Len() > 0 {
 		h.b.shards[0].ring.PopBatch(h.drain)
@@ -84,14 +81,14 @@ func (h *producerHarness) step() {
 }
 
 // TestProducerStepZeroAllocs pins the monitored-core hot path: once warm,
-// the concurrent backend's Step — coarse check, pending FIFO, window
+// the concurrent backend's StepBatch — coarse check, pending FIFO, window
 // accounting, ring publish — performs zero heap allocations per event.
 // This is the always-on half of the BENCH_cplatch.json acceptance bar.
 func TestProducerStepZeroAllocs(t *testing.T) {
 	h := newProducerHarness(t)
 	h.step() // warm caches, maps, and the window accumulator
 	if avg := testing.AllocsPerRun(50, h.step); avg != 0 {
-		t.Fatalf("producer-side Step allocates %.2f times per %d events, want 0", avg, len(h.evs))
+		t.Fatalf("producer-side StepBatch allocates %.2f times per %d events, want 0", avg, len(h.evs))
 	}
 }
 
@@ -131,7 +128,7 @@ type cplatchShardEntry struct {
 	RingOccupancyMax    uint64  `json:"ring_occupancy_max"`
 }
 
-// TestWriteCPlatchBench writes BENCH_cplatch.json: producer Step cost and
+// TestWriteCPlatchBench writes BENCH_cplatch.json: producer StepBatch cost and
 // allocation count, the serial analytic pass, and the 1/2/4/8-shard
 // concurrent sweep over the same stream. The acceptance bars ride along:
 // zero steady-state producer-side allocations, and an equal flagged-event
@@ -152,7 +149,7 @@ func TestWriteCPlatchBench(t *testing.T) {
 		prodNs = float64(prodRes.T.Nanoseconds()) / float64(prodRes.N) / float64(len(h.evs))
 	}
 	if allocs != 0 {
-		t.Errorf("producer-side Step allocates %.2f times per %d events, want 0", allocs, len(h.evs))
+		t.Errorf("producer-side StepBatch allocates %.2f times per %d events, want 0", allocs, len(h.evs))
 	}
 
 	acfg := DefaultConfig()

@@ -7,45 +7,71 @@ import (
 )
 
 func TestPendingFIFOBasics(t *testing.T) {
-	f := newPendingFIFO(2)
-	f.push(10, 100)
-	f.push(20, 200)
-	if !f.pending(10) || !f.pending(20) || f.pending(30) {
+	f := NewPendingFIFO(2)
+	f.Push(10, 100)
+	f.Push(20, 200)
+	if !f.Pending(10) || !f.Pending(20) || f.Pending(30) {
 		t.Fatal("membership wrong")
 	}
 	// Overflow retires the oldest.
-	f.push(30, 300)
-	if f.pending(10) || !f.pending(20) || !f.pending(30) {
+	f.Push(30, 300)
+	if f.Pending(10) || !f.Pending(20) || !f.Pending(30) {
 		t.Fatal("overflow did not retire oldest")
 	}
 	// Expiry retires in order.
-	f.retire(250)
-	if f.pending(20) || !f.pending(30) {
+	f.Retire(250)
+	if f.Pending(20) || !f.Pending(30) {
 		t.Fatal("retire wrong")
 	}
-	f.retire(1000)
-	if f.pending(30) || f.count != 0 {
+	f.Retire(1000)
+	if f.Pending(30) || f.count != 0 {
 		t.Fatal("final retire wrong")
 	}
 }
 
 func TestPendingFIFODuplicateDomains(t *testing.T) {
-	f := newPendingFIFO(4)
-	f.push(7, 100)
-	f.push(7, 200)
-	f.retire(150) // first entry expires, second still live
-	if !f.pending(7) {
+	f := NewPendingFIFO(4)
+	f.Push(7, 100)
+	f.Push(7, 200)
+	f.Retire(150) // first entry expires, second still live
+	if !f.Pending(7) {
 		t.Fatal("duplicate domain retired too early")
 	}
-	f.retire(250)
-	if f.pending(7) {
+	f.Retire(250)
+	if f.Pending(7) {
 		t.Fatal("domain still pending after both expired")
 	}
 }
 
 func TestPendingFIFODisabled(t *testing.T) {
-	if newPendingFIFO(0) != nil {
+	if NewPendingFIFO(0) != nil {
 		t.Fatal("zero capacity should disable the structure")
+	}
+}
+
+// TestPendingFIFOEmptyPop covers the co-simulation's use: entries pushed
+// with expiry 0 and popped as the monitor processes each store, where an
+// overflow may already have retired the entry a later pop targets.
+func TestPendingFIFOEmptyPop(t *testing.T) {
+	f := NewPendingFIFO(2)
+	f.Push(1, 0)
+	f.Push(2, 0)
+	if !f.Full() {
+		t.Fatal("FIFO at capacity does not report full")
+	}
+	f.Push(3, 0) // evicts 1
+	if f.Pending(1) || !f.Pending(2) || !f.Pending(3) {
+		t.Fatal("membership wrong after eviction")
+	}
+	f.Pop()
+	f.Pop()
+	f.Pop() // popping empty is a no-op
+	if f.count != 0 || f.Full() || f.Pending(2) || f.Pending(3) {
+		t.Fatal("pop on empty corrupted state")
+	}
+	f.Push(4, 0)
+	if !f.Pending(4) || f.count != 1 {
+		t.Fatal("FIFO unusable after empty pop")
 	}
 }
 

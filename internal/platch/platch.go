@@ -102,12 +102,15 @@ func DefaultConfig() Config {
 	}
 }
 
-// pendingFIFO is the small FIFO-like structure of §5.2: it tracks the
+// PendingFIFO is the small FIFO-like structure of §5.2: it tracks the
 // destination taint domains of recently enqueued stores and reports them
 // tainted until the monitor catches up. Overflow retires the oldest entry
 // early (the monitored core would briefly stall to let the monitor drain;
-// the conservative direction is handled by the queue itself).
-type pendingFIFO struct {
+// the conservative direction is handled by the queue itself). The
+// stream-level backends retire entries by expiry; the P-LATCH
+// co-simulation pushes with expiry 0 and pops as its monitor processes
+// each store.
+type PendingFIFO struct {
 	ring    []pendingEntry
 	head    int
 	count   int
@@ -119,27 +122,36 @@ type pendingEntry struct {
 	expiry uint64
 }
 
-func newPendingFIFO(capacity int) *pendingFIFO {
+// NewPendingFIFO returns a FIFO of the given capacity, or nil — the
+// structure disabled — when capacity <= 0.
+func NewPendingFIFO(capacity int) *PendingFIFO {
 	if capacity <= 0 {
 		return nil
 	}
-	return &pendingFIFO{
+	return &PendingFIFO{
 		ring:    make([]pendingEntry, capacity),
 		domains: make(map[uint32]int),
 	}
 }
 
-// push records a store destination pending until the given time.
-func (f *pendingFIFO) push(domain uint32, expiry uint64) {
-	if f.count == len(f.ring) {
-		f.pop()
+// Full reports whether the next Push evicts the oldest entry.
+func (f *PendingFIFO) Full() bool { return f.count == len(f.ring) }
+
+// Push records a store destination pending until the given time.
+func (f *PendingFIFO) Push(domain uint32, expiry uint64) {
+	if f.Full() {
+		f.Pop()
 	}
 	f.ring[(f.head+f.count)%len(f.ring)] = pendingEntry{domain: domain, expiry: expiry}
 	f.count++
 	f.domains[domain]++
 }
 
-func (f *pendingFIFO) pop() {
+// Pop retires the oldest entry; popping an empty FIFO is a no-op.
+func (f *PendingFIFO) Pop() {
+	if f.count == 0 {
+		return
+	}
 	e := f.ring[f.head]
 	f.head = (f.head + 1) % len(f.ring)
 	f.count--
@@ -150,15 +162,15 @@ func (f *pendingFIFO) pop() {
 	}
 }
 
-// retire pops every entry whose expiry has passed.
-func (f *pendingFIFO) retire(now uint64) {
+// Retire pops every entry whose expiry has passed.
+func (f *PendingFIFO) Retire(now uint64) {
 	for f.count > 0 && f.ring[f.head].expiry <= now {
-		f.pop()
+		f.Pop()
 	}
 }
 
-// pending reports whether the domain has an outstanding update.
-func (f *pendingFIFO) pending(domain uint32) bool {
+// Pending reports whether the domain has an outstanding update.
+func (f *PendingFIFO) Pending(domain uint32) bool {
 	_, ok := f.domains[domain]
 	return ok
 }
@@ -171,14 +183,14 @@ func (f *pendingFIFO) pending(domain uint32) bool {
 // one implementation, so their enqueue decisions are identical by
 // construction.
 type filter struct {
-	pend         *pendingFIFO
+	pend         *PendingFIFO
 	lag          uint64
 	positives    uint64
 	pendingExtra uint64
 }
 
 func newFilter(entries int, lag uint64) *filter {
-	return &filter{pend: newPendingFIFO(entries), lag: lag}
+	return &filter{pend: NewPendingFIFO(entries), lag: lag}
 }
 
 // decide consumes one stream event and reports whether it is enqueued to
@@ -196,15 +208,15 @@ func (f *filter) decide(s *engine.Session, ev trace.Event) (enq, viaPending bool
 	} else if f.pend != nil {
 		// §5.2: destinations of queued stores stay conservatively tainted
 		// until the monitor has processed them.
-		f.pend.retire(s.Events)
-		if f.pend.pending(s.Shadow.DomainIndex(ev.Addr)) {
+		f.pend.Retire(s.Events)
+		if f.pend.Pending(s.Shadow.DomainIndex(ev.Addr)) {
 			enq, viaPending = true, true
 			f.positives++
 			f.pendingExtra++
 		}
 	}
 	if enq && ev.IsWrite && f.pend != nil {
-		f.pend.push(s.Shadow.DomainIndex(ev.Addr), s.Events+f.lag)
+		f.pend.Push(s.Shadow.DomainIndex(ev.Addr), s.Events+f.lag)
 	}
 	return enq, viaPending
 }
@@ -381,24 +393,20 @@ func (b *backend) Init(s *engine.Session) error {
 	return nil
 }
 
-// Step implements engine.Backend. P-LATCH charges no check cycles on the
-// monitored core: the cost model is the queue, evaluated in Finish.
-func (b *backend) Step(s *engine.Session, ev trace.Event) {
-	enq, _ := b.filt.decide(s, ev)
-	// The analytic model localizes LBA overheads to "periods of active
-	// propagation" (§6.2): windows in which taint is actually
-	// manipulated. Coarse false positives still enter the queue (enq)
-	// but do not by themselves make a window an active-propagation one.
-	b.win.step(ev.Tainted)
-	b.enqueued = append(b.enqueued, enq)
-}
-
-// StepBatch implements engine.BatchBackend. The pending-window filter keys
-// its lag arithmetic off s.Events, so the cursor advances before each event.
+// StepBatch implements engine.Backend. P-LATCH charges no check cycles on
+// the monitored core: the cost model is the queue, evaluated in Finish. The
+// pending-window filter keys its lag arithmetic off s.Events, so the cursor
+// advances before each event.
 func (b *backend) StepBatch(s *engine.Session, evs []trace.Event) {
 	for i := range evs {
 		s.Events++
-		b.Step(s, evs[i])
+		enq, _ := b.filt.decide(s, evs[i])
+		// The analytic model localizes LBA overheads to "periods of active
+		// propagation" (§6.2): windows in which taint is actually
+		// manipulated. Coarse false positives still enter the queue (enq)
+		// but do not by themselves make a window an active-propagation one.
+		b.win.step(evs[i].Tainted)
+		b.enqueued = append(b.enqueued, enq)
 	}
 }
 

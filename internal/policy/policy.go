@@ -138,10 +138,10 @@ type Policy struct {
 	Sampling Sampling `json:"sampling"`
 }
 
-// Default returns the standard policy: both sources tainted, no trusted
-// connections, control-flow checking on, leak checking off, fail-fast,
-// sampling disabled. This is the policy every pre-existing call site
-// used via dift.DefaultPolicy.
+// Default returns the policy of the paper's general evaluation: both
+// sources tainted (all external input untrusted), no trusted connections,
+// control-flow checking on, leak checking off, fail-fast, sampling
+// disabled.
 func Default() Policy {
 	return Policy{
 		TaintFile:        true,

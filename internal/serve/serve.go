@@ -24,8 +24,10 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"expvar"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
@@ -268,10 +270,37 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, run func(st *stre
 	<-done
 }
 
+// MaxBodyBytes caps a job request body. A body over it is answered 413
+// before anything is decoded past the cap. The largest legitimate bodies —
+// LA32 program sources with their input bytes — are a few KiB.
+const MaxBodyBytes = 1 << 20
+
+// decodeJob decodes r's JSON job body into v, reading at most MaxBodyBytes.
+// On failure it answers the request — 413 for an oversized body, 400 for a
+// malformed one — and returns false.
+func decodeJob(w http.ResponseWriter, r *http.Request, v any) bool {
+	body := http.MaxBytesReader(w, r.Body, MaxBodyBytes)
+	err := json.NewDecoder(body).Decode(v)
+	if err == nil {
+		// Read the rest too: a body over the cap is refused even when its
+		// JSON value ends before the cap.
+		_, err = io.Copy(io.Discard, body)
+	}
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		http.Error(w, fmt.Sprintf("job body exceeds %d bytes", MaxBodyBytes), http.StatusRequestEntityTooLarge)
+		return false
+	case err != nil:
+		http.Error(w, "bad job body: "+err.Error(), http.StatusBadRequest)
+		return false
+	}
+	return true
+}
+
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	var job WorkloadJob
-	if err := json.NewDecoder(r.Body).Decode(&job); err != nil {
-		http.Error(w, "bad job body: "+err.Error(), http.StatusBadRequest)
+	if !decodeJob(w, r, &job) {
 		return
 	}
 	// Validate before occupying a queue slot: the facade's request
@@ -402,8 +431,7 @@ func (s *Server) runWorkload(ctx context.Context, st *stream, ws *workerState, j
 
 func (s *Server) handleProgram(w http.ResponseWriter, r *http.Request) {
 	var wire ProgramJob
-	if err := json.NewDecoder(r.Body).Decode(&wire); err != nil {
-		http.Error(w, "bad job body: "+err.Error(), http.StatusBadRequest)
+	if !decodeJob(w, r, &wire) {
 		return
 	}
 	if wire.Source == "" {

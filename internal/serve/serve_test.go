@@ -492,3 +492,48 @@ func TestBackendsEndpoint(t *testing.T) {
 		t.Fatalf("discovery payload empty: %+v", got)
 	}
 }
+
+// TestBodyCap: both job endpoints read at most serve.MaxBodyBytes of body.
+// A body at or just under the cap runs; one byte over — even when its JSON
+// value ends well before the cap — is answered 413.
+func TestBodyCap(t *testing.T) {
+	_, ts := newTestServer(t, serve.Config{Workers: 1, QueueDepth: 2})
+	jobs := []struct{ kind, body string }{
+		{"run", `{"backend":"slatch","workload":"gcc","events":1000}`},
+		{"program", `{"source":"halt"}`},
+	}
+	// padded right-aligns job in a body of n bytes behind JSON whitespace,
+	// so the decoder has to read all n.
+	padded := func(job string, n int) string { return strings.Repeat(" ", n-len(job)) + job }
+	for _, job := range jobs {
+		cases := []struct {
+			name string
+			body string
+			want int
+		}{
+			{"just under the cap", padded(job.body, serve.MaxBodyBytes-1), http.StatusOK},
+			{"at the cap", padded(job.body, serve.MaxBodyBytes), http.StatusOK},
+			{"one byte over", padded(job.body, serve.MaxBodyBytes+1), http.StatusRequestEntityTooLarge},
+			{"trailing bytes over", job.body + strings.Repeat(" ", serve.MaxBodyBytes), http.StatusRequestEntityTooLarge},
+		}
+		for _, c := range cases {
+			t.Run(job.kind+"/"+c.name, func(t *testing.T) {
+				resp, err := http.Post(ts.URL+"/v1/"+job.kind, "application/json", strings.NewReader(c.body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer resp.Body.Close()
+				var out bytes.Buffer
+				if _, err := out.ReadFrom(resp.Body); err != nil {
+					t.Fatal(err)
+				}
+				if resp.StatusCode != c.want {
+					t.Fatalf("%d-byte body: status %d, want %d (%s)", len(c.body), resp.StatusCode, c.want, out.String())
+				}
+				if c.want == http.StatusOK && !strings.Contains(out.String(), `"type":"result"`) {
+					t.Fatalf("accepted body produced no result line: %s", out.String())
+				}
+			})
+		}
+	}
+}

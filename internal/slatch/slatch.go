@@ -170,45 +170,42 @@ func (b *backend) Init(s *engine.Session) error {
 	return nil
 }
 
-// Step implements engine.Backend: the per-instruction S-LATCH protocol.
-func (b *backend) Step(s *engine.Session, ev trace.Event) {
-	s.Cycles.Base++
-	switch s.Mode() {
-	case engine.ModeHardware:
-		s.HWInstrs++
-		if !ev.IsMem {
-			return
-		}
-		check := s.CheckMem(ev.Addr, int(ev.Size))
-		if !check.CoarsePositive {
-			return
-		}
-		// Trap to the exception handler, which validates against the
-		// precise state.
-		s.Trap()
-		if !check.TrulyTainted {
-			s.DismissTrap()
-			return // dismissed; hardware mode continues
-		}
-		// True positive: transfer control to the instrumented image.
-		s.SwitchToSoftware()
-	case engine.ModeSoftware:
-		s.SWInstrs++
-		if s.SoftwareStep(ev.Tainted) {
-			// Timeout: scan clear bits, restore the native context, resume
-			// hardware monitoring.
-			s.ReturnToHardware()
-		}
-	}
-}
-
-// StepBatch implements engine.BatchBackend: the commit-stream-FIFO drain.
-// The cursor advances before each event so epoch transitions and traps see
-// the exact event positions the per-event driver would deliver.
+// StepBatch implements engine.Backend: the per-instruction S-LATCH
+// protocol over one drained chunk of the commit stream. The cursor
+// advances before each event so epoch transitions and traps see their
+// exact stream positions.
 func (b *backend) StepBatch(s *engine.Session, evs []trace.Event) {
 	for i := range evs {
+		ev := &evs[i]
 		s.Events++
-		b.Step(s, evs[i])
+		s.Cycles.Base++
+		switch s.Mode() {
+		case engine.ModeHardware:
+			s.HWInstrs++
+			if !ev.IsMem {
+				continue
+			}
+			check := s.CheckMem(ev.Addr, int(ev.Size))
+			if !check.CoarsePositive {
+				continue
+			}
+			// Trap to the exception handler, which validates against the
+			// precise state.
+			s.Trap()
+			if !check.TrulyTainted {
+				s.DismissTrap()
+				continue // dismissed; hardware mode continues
+			}
+			// True positive: transfer control to the instrumented image.
+			s.SwitchToSoftware()
+		case engine.ModeSoftware:
+			s.SWInstrs++
+			if s.SoftwareStep(ev.Tainted) {
+				// Timeout: scan clear bits, restore the native context,
+				// resume hardware monitoring.
+				s.ReturnToHardware()
+			}
+		}
 	}
 }
 
