@@ -142,10 +142,15 @@ bench-gate:
 # Short fuzz passes: the LA32 assembler/decoder round-trip properties
 # (FuzzAssembleDecode also cross-checks the decode cache against direct
 # Decode, through invalidation and refill), then the backend-equivalence
-# fuzzer, which drives the differential checker from random case seeds.
+# fuzzer, which drives the differential checker from random case seeds,
+# then SetRange against byte-by-byte Set under watching LATCH modules
+# (identical coarse state), then the service's job decode-and-validate
+# front (no panic; only 200, 400 or 413).
 fuzz:
 	$(GO) test ./internal/isa -run='^$$' -fuzz=FuzzAssembleDecode -fuzztime=10s
 	$(GO) test ./internal/diffcheck -run='^$$' -fuzz=FuzzBackendEquivalence -fuzztime=30s
+	$(GO) test ./internal/latch -run='^$$' -fuzz=FuzzSetRangeWatched -fuzztime=10s
+	$(GO) test ./internal/serve -run='^$$' -fuzz=FuzzJobDecode -fuzztime=10s
 
 # Regenerate the experiment golden tables (and the telemetry snapshot that
 # rides along with them) after an intentional model change.

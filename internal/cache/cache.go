@@ -195,6 +195,22 @@ func (c *Cache) Access(addr uint32) (line *Line, hit bool, ev Eviction) {
 	return victim, false, ev
 }
 
+// AccessN is n back-to-back Access calls to addr (n >= 1): the first may
+// fill, the remaining n-1 hit the now-resident line. Statistics and LRU
+// state end exactly as after the n calls; the first access's outcome is
+// returned.
+func (c *Cache) AccessN(addr uint32, n int) (line *Line, hit bool, ev Eviction) {
+	line, hit, ev = c.Access(addr)
+	if n > 1 {
+		k := uint64(n - 1)
+		c.stats.Accesses += k
+		c.stats.Hits += k
+		c.clock += k
+		line.lru = c.clock
+	}
+	return line, hit, ev
+}
+
 // addrOf reconstructs a block base address from set and tag.
 func (c *Cache) addrOf(set int, tag uint32) uint32 {
 	block := tag<<bits.TrailingZeros32(uint32(c.cfg.Sets)) | uint32(set)

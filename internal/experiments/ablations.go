@@ -3,10 +3,10 @@ package experiments
 import (
 	"fmt"
 
+	"latch/internal/engine"
 	"latch/internal/hlatch"
 	"latch/internal/latch"
 	"latch/internal/platch"
-	"latch/internal/shadow"
 	"latch/internal/slatch"
 	"latch/internal/stats"
 	"latch/internal/trace"
@@ -25,6 +25,12 @@ import (
 // ablationBenchmarks is the mix used by all sweeps.
 var ablationBenchmarks = []string{"gcc", "sphinx3", "apache"}
 
+// ablationOptions are the run options of one sweep point: a quarter of the
+// configured stream, observed by the sweep's pass registry.
+func (r *Runner) ablationOptions(pass string) engine.RunOptions {
+	return engine.RunOptions{Events: r.opts.Events / 4, Observer: r.passObserver(pass)}
+}
+
 // AblationDomainSize sweeps the taint-domain granularity (§4.1's central
 // trade-off): smaller domains need more CTT words and CTC reach but produce
 // fewer false positives; larger domains compress better but mix clean and
@@ -39,12 +45,11 @@ func (r *Runner) AblationDomainSize() (*stats.Table, error) {
 			return err
 		}
 		row := []any{name}
+		opts := r.ablationOptions("ablation-domain")
 		for _, ds := range Fig6Granularities {
 			cfg := hlatch.DefaultConfig()
-			cfg.Events = r.opts.Events / 4
 			cfg.Latch.DomainSize = ds
-			cfg.Observer = r.passObserver("ablation-domain")
-			res, err := hlatch.Run(p, cfg)
+			res, err := runTyped[hlatch.Result](r, hlatch.NewBackend(cfg), p, opts)
 			if err != nil {
 				return err
 			}
@@ -83,12 +88,11 @@ func (r *Runner) AblationTimeout() (*stats.Table, error) {
 			return err
 		}
 		row := []any{name}
+		opts := r.ablationOptions("ablation-timeout")
 		for _, to := range timeouts {
 			cfg := slatch.DefaultConfig()
-			cfg.Events = r.opts.Events / 4
 			cfg.Costs.TimeoutInstrs = to
-			cfg.Observer = r.passObserver("ablation-timeout")
-			res, err := slatch.Run(p, cfg)
+			res, err := runTyped[slatch.Result](r, slatch.NewBackend(cfg), p, opts)
 			if err != nil {
 				return err
 			}
@@ -126,12 +130,11 @@ func (r *Runner) AblationCTCSize() (*stats.Table, error) {
 			return err
 		}
 		row := []any{name}
+		opts := r.ablationOptions("ablation-ctc")
 		for _, n := range sizes {
 			cfg := hlatch.DefaultConfig()
-			cfg.Events = r.opts.Events / 4
 			cfg.Latch.CTCEntries = n
-			cfg.Observer = r.passObserver("ablation-ctc")
-			res, err := hlatch.Run(p, cfg)
+			res, err := runTyped[hlatch.Result](r, hlatch.NewBackend(cfg), p, opts)
 			if err != nil {
 				return err
 			}
@@ -176,14 +179,13 @@ func (r *Runner) AblationClearBits() (*stats.Table, error) {
 			cfg := latch.DefaultConfig()
 			cfg.Clear = clear
 			cfg.BaselineTCache = false
-			sh, err := shadow.New(cfg.DomainSize)
+			s, err := r.free.session(cfg)
 			if err != nil {
 				return outcome{}, err
 			}
-			m, err := latch.New(cfg, sh)
-			if err != nil {
-				return outcome{}, err
-			}
+			defer r.free.putSession(s)
+			s.Recycle()
+			m, sh := s.Module, s.Shadow
 			m.SetObserver(r.passObserver("ablation-clear"))
 			g, err := workload.NewSampledGeneratorOn(p, sh, r.sampling())
 			if err != nil {
@@ -261,12 +263,11 @@ func (r *Runner) AblationQueueDepth() (*stats.Table, error) {
 			return err
 		}
 		row := []any{name}
+		opts := r.ablationOptions("ablation-queue")
 		for _, d := range depths {
 			cfg := platch.DefaultConfig()
 			cfg.QueueDepth = d
-			cfg.Events = r.opts.Events / 4
-			cfg.Observer = r.passObserver("ablation-queue")
-			res, err := platch.Run(p, cfg)
+			res, err := runTyped[platch.Result](r, platch.NewBackend(cfg), p, opts)
 			if err != nil {
 				return err
 			}

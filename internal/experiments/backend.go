@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"context"
-
 	"fmt"
 
 	"latch/internal/engine"
@@ -51,7 +49,7 @@ func (r *Runner) BackendPass(name string, s workload.Suite) ([]engine.Result, er
 				}
 			}
 		}
-		res, err := engine.RunProfile(context.Background(), b, p, opts)
+		res, err := r.runProfile(b, p, opts)
 		if err != nil {
 			return fmt.Errorf("%s %s: %w", name, wname, err)
 		}

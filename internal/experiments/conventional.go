@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"latch/internal/cache"
+	"latch/internal/engine"
 	"latch/internal/hlatch"
 	"latch/internal/latch"
 	"latch/internal/stats"
@@ -18,10 +19,9 @@ func (r *Runner) Conventional() (*stats.Table, error) {
 	// Conventional configuration: the same line geometry scaled to 4 KiB
 	// (256 sets x 4 ways x 4 B), fed every check, no filtering.
 	conventional := hlatch.DefaultConfig()
-	conventional.Events = r.opts.Events
 	conventional.Latch.TCache = cache.Config{Name: "tcache-4k", Sets: 256, Ways: 4, LineSize: 4}
 	conventional.Latch.BaselineTCache = true
-	conventional.Observer = r.passObserver("conventional")
+	opts := engine.RunOptions{Events: r.opts.Events, Observer: r.passObserver("conventional")}
 
 	hlCfg := hlatch.DefaultConfig()
 	hlCfg.Events = r.opts.Events
@@ -51,7 +51,7 @@ func (r *Runner) Conventional() (*stats.Table, error) {
 		if err != nil {
 			return err
 		}
-		conv, err := hlatch.Run(p, conventional)
+		conv, err := runTyped[hlatch.Result](r, hlatch.NewBackend(conventional), p, opts)
 		if err != nil {
 			return err
 		}

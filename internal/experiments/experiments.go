@@ -27,7 +27,6 @@ import (
 	"latch/internal/engine"
 	"latch/internal/latch"
 	"latch/internal/policy"
-	"latch/internal/shadow"
 	"latch/internal/stats"
 	"latch/internal/telemetry"
 	"latch/internal/trace"
@@ -108,6 +107,8 @@ type Runner struct {
 
 	metricsMu sync.Mutex // guards metrics
 	metrics   map[string]*telemetry.Metrics
+
+	free freeList // idle sessions and shadows, shared by every pass
 }
 
 // NewRunner builds a Runner.
@@ -208,10 +209,11 @@ func (r *Runner) Temporal(s workload.Suite) ([]temporalResult, error) {
 		if err != nil {
 			return err
 		}
-		g, err := workload.NewSampledGenerator(p, shadow.DefaultDomainSize, r.sampling())
+		g, release, err := r.generator(p)
 		if err != nil {
 			return err
 		}
+		defer release()
 		a := trace.NewEpochAnalyzer()
 		g.Run(r.opts.EpochEvents, a)
 		a.Finish()
@@ -294,10 +296,11 @@ func (r *Runner) pagesTable(s workload.Suite, title string) (*stats.Table, error
 		if err != nil {
 			return err
 		}
-		g, err := workload.NewSampledGenerator(p, shadow.DefaultDomainSize, r.sampling())
+		g, release, err := r.generator(p)
 		if err != nil {
 			return err
 		}
+		defer release()
 		tainted := g.Shadow().EverTaintedPages()
 		rows[i] = []any{name, p.PagesAccessed, tainted,
 			100 * float64(tainted) / float64(p.PagesAccessed),
@@ -329,10 +332,11 @@ func (r *Runner) Figure6() (*stats.Table, error) {
 		if err != nil {
 			return err
 		}
-		g, err := workload.NewSampledGenerator(p, shadow.DefaultDomainSize, r.sampling())
+		g, release, err := r.generator(p)
 		if err != nil {
 			return err
 		}
+		defer release()
 		sh := g.Shadow()
 		coarse := make([]uint64, len(Fig6Granularities))
 		var precise uint64

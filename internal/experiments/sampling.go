@@ -160,13 +160,9 @@ func (r *Runner) Frontier() ([]FrontierRow, error) {
 				if err != nil {
 					return err
 				}
-				res, err := engine.RunScheme(context.Background(), "slatch", p, opts)
+				sr, err := runTyped[slatch.Result](r, slatch.NewBackend(slatch.DefaultConfig()), p, opts)
 				if err != nil {
 					return fmt.Errorf("sampling %s @ %.2f: %w", wname, f, err)
-				}
-				sr, ok := res.(slatch.Result)
-				if !ok {
-					return fmt.Errorf("sampling: slatch returned %T", res)
 				}
 				js.Events += sr.Events
 				row.MeanOverhead += sr.Overhead()

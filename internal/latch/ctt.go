@@ -10,8 +10,29 @@ package latch
 // set bits) are maintained incrementally so they stay O(1) to read.
 type CTT struct {
 	words   []uint32
-	nonzero int // words holding at least one set bit
-	setBits int // total set bits
+	nonzero int       // words holding at least one set bit
+	setBits int       // total set bits
+	dirty   dirtySpan // words set since the last Reset
+}
+
+// dirtySpan is the index range [lo, hi) of a dense table written since its
+// last reset, so that a reset clears only the part a run touched rather
+// than the whole pre-sized table.
+type dirtySpan struct{ lo, hi uint32 }
+
+// add widens the span to cover index i.
+func (d *dirtySpan) add(i uint32) {
+	if d.lo == d.hi {
+		d.lo, d.hi = i, i+1
+		return
+	}
+	d.lo, d.hi = min(d.lo, i), max(d.hi, i+1)
+}
+
+// reset zeroes the span's entries of tab and empties the span.
+func (d *dirtySpan) reset(tab []uint32) {
+	clear(tab[d.lo:d.hi])
+	*d = dirtySpan{}
 }
 
 // NewCTT returns an empty table.
@@ -77,6 +98,7 @@ func (t *CTT) SetBit(d uint32) bool {
 	}
 	if old == 0 {
 		t.nonzero++
+		t.dirty.add(w)
 	}
 	t.words[w] = nw
 	t.setBits++
@@ -123,7 +145,7 @@ func (t *CTT) WordIndices() []uint32 {
 
 // Reset empties the table, keeping its backing storage.
 func (t *CTT) Reset() {
-	clear(t.words)
+	t.dirty.reset(t.words)
 	t.nonzero = 0
 	t.setBits = 0
 }

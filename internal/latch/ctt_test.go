@@ -78,6 +78,28 @@ func TestCTTTaintedDomains(t *testing.T) {
 	}
 }
 
+// TestCTTResetClearsTouchedSpan: Reset clears only the words set since the
+// last Reset, which must still be every nonzero word — across growth, and
+// across several set-reset rounds at different ends of the table.
+func TestCTTResetClearsTouchedSpan(t *testing.T) {
+	ctt := NewCTTSized(64)
+	rounds := [][]uint32{{5, 2000}, {63 * 32}, {0, 1 << 16}, {40 * 32, 3}}
+	for i, ds := range rounds {
+		for _, d := range ds {
+			ctt.SetBit(d)
+		}
+		// Bits cleared before the Reset must not shrink what it clears.
+		ctt.ClearBit(ds[0])
+		ctt.SetBit(ds[0])
+		ctt.Reset()
+		for w := range ctt.words {
+			if ctt.words[w] != 0 {
+				t.Fatalf("round %d: word %d = %#x after Reset", i, w, ctt.words[w])
+			}
+		}
+	}
+}
+
 func TestCTTSetClearProperty(t *testing.T) {
 	// Under arbitrary set/clear sequences the CTT matches a reference set.
 	type op struct {

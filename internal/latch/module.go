@@ -150,7 +150,12 @@ type Module struct {
 	// domain, indexed directly by global page-domain index. Pre-sized from
 	// Config.AddressSpan; grown geometrically beyond it.
 	pdCount []uint32
-	trf     TRF
+	pdDirty dirtySpan // pdCount entries raised since the last Reset
+	// pdShift is log2 of the page-domain size and pdPerPage the page
+	// domains per page, both fixed by the configuration.
+	pdShift   uint
+	pdPerPage uint32
+	trf       TRF
 
 	tlb        *cache.TLB
 	ctc        *cache.Cache
@@ -174,11 +179,13 @@ func New(cfg Config, sh *shadow.Shadow) (*Module, error) {
 			sh.DomainSize(), cfg.DomainSize)
 	}
 	m := &Module{
-		cfg:     cfg,
-		Shadow:  sh,
-		ctt:     NewCTTSized(int(cfg.AddressSpan / cfg.WordCoverage())),
-		pdCount: make([]uint32, cfg.AddressSpan/cfg.PageDomainSize()),
-		tlb:     cache.MustNewTLB(cfg.TLBEntries, cfg.PageDomains()),
+		cfg:       cfg,
+		Shadow:    sh,
+		ctt:       NewCTTSized(int(cfg.AddressSpan / cfg.WordCoverage())),
+		pdCount:   make([]uint32, cfg.AddressSpan/cfg.PageDomainSize()),
+		pdShift:   uint(bits.TrailingZeros32(cfg.PageDomainSize())),
+		pdPerPage: uint32(cfg.PageDomains()),
+		tlb:       cache.MustNewTLB(cfg.TLBEntries, cfg.PageDomains()),
 		ctc: cache.MustNew(cache.Config{
 			Name:     "ctc",
 			Sets:     1,
@@ -239,11 +246,8 @@ func (m *Module) SetLastException(addr uint32) { m.lastException = addr }
 // LastException returns the most recent exception address.
 func (m *Module) LastException() uint32 { return m.lastException }
 
-// pdSize returns the page-domain size in bytes.
-func (m *Module) pdSize() uint32 { return m.cfg.PageDomainSize() }
-
 // pdIndex returns the global page-domain index of addr.
-func (m *Module) pdIndex(addr uint32) uint32 { return addr / m.pdSize() }
+func (m *Module) pdIndex(addr uint32) uint32 { return addr >> m.pdShift }
 
 // PageTaintBits returns the authoritative page-level taint bit vector for
 // page pn — what a page-table walk would deliver to the TLB (§4.2). Bit i
@@ -253,7 +257,7 @@ func (m *Module) PageTaintBits(pn uint32) uint32 { return m.pageBits(pn) }
 // pageBits assembles the TLB fill vector for page pn from page-domain
 // counts (the page-table walk of §4.2).
 func (m *Module) pageBits(pn uint32) uint32 {
-	perPage := uint32(m.cfg.PageDomains())
+	perPage := m.pdPerPage
 	base := pn * perPage
 	if int(base) >= len(m.pdCount) {
 		return 0
@@ -292,7 +296,7 @@ func (m *Module) onDomainTransition(d uint32, tainted bool) {
 		}
 		// Write-through: the update travels via the taint cache (stnt /
 		// Figure 12), allocating on miss.
-		line := m.ctcWrite(addr)
+		line := m.ctcWrite(addr, 1)
 		line.Data |= 1 << bitOf(d)
 		line.Aux &^= 1 << bitOf(d) // re-assertion retires any pending clear
 		return
@@ -311,10 +315,14 @@ func (m *Module) onDomainTransition(d uint32, tainted bool) {
 	}
 }
 
-// onByteTransition implements the lazy clear-bit discipline: it fires on
-// every byte-level taint change, before domain-granularity knowledge is
-// consulted, matching the stnt hardware which sees only the written tag.
-func (m *Module) onByteTransition(addr uint32, tainted bool) {
+// onByteTransition implements the lazy clear-bit discipline over one
+// within-domain span of n byte-level taint changes, without consulting
+// domain-granularity knowledge, matching the stnt hardware which sees only
+// the written tags. Its effect depends only on the domain: the span stands
+// for n stnt writes to the same CTT word, so a clearing span is n CTC write
+// accesses (the first may miss), and a tainting span retires the clear bit
+// once (Probe has no side effects, so repeating it would change nothing).
+func (m *Module) onByteTransition(addr uint32, n int, tainted bool) {
 	d := m.Shadow.DomainIndex(addr)
 	if tainted {
 		// A nonzero write retires any pending clear for the domain.
@@ -324,7 +332,7 @@ func (m *Module) onByteTransition(addr uint32, tainted bool) {
 		}
 		return
 	}
-	line := m.ctcWrite(addr)
+	line := m.ctcWrite(addr, n)
 	line.Aux |= 1 << bitOf(d)
 }
 
@@ -335,6 +343,7 @@ func (m *Module) pdTaintInc(addr uint32) {
 	}
 	m.pdCount[pd]++
 	if m.pdCount[pd] == 1 {
+		m.pdDirty.add(pd)
 		m.tlb.UpdateTaintBit(addr, true)
 	}
 }
@@ -350,11 +359,12 @@ func (m *Module) pdTaintDec(addr uint32) {
 	}
 }
 
-// ctcWrite performs a write-allocate CTC access for the CTT word covering
-// addr, filling from the CTT on a miss and running the eviction clear scan.
-func (m *Module) ctcWrite(addr uint32) *cache.Line {
-	m.stats.CTCWriteAccesses++
-	line, hit, ev := m.ctc.Access(addr)
+// ctcWrite performs n back-to-back write-allocate CTC accesses for the CTT
+// word covering addr, filling from the CTT on a miss of the first and
+// running the eviction clear scan; the rest hit.
+func (m *Module) ctcWrite(addr uint32, n int) *cache.Line {
+	m.stats.CTCWriteAccesses += uint64(n)
+	line, hit, ev := m.ctc.AccessN(addr, n)
 	if !hit {
 		m.stats.CTCWriteMisses++
 		if m.obs != nil {
@@ -534,7 +544,7 @@ func (m *Module) StoreTaint(addr uint32, tag shadow.Tag) shadow.Tag {
 	if m.stats.CTCWriteAccesses == before {
 		// No domain transition fired: the stnt write still travels through
 		// the taint cache.
-		line := m.ctcWrite(addr)
+		line := m.ctcWrite(addr, 1)
 		d := m.Shadow.DomainIndex(addr)
 		if m.cfg.Clear == LazyClear {
 			if tag == shadow.TagClean {
@@ -572,7 +582,7 @@ func (m *Module) FlushCaches() {
 // (engine.Session.Recycle does both, in that order).
 func (m *Module) Reset() {
 	m.ctt.Reset()
-	clear(m.pdCount)
+	m.pdDirty.reset(m.pdCount)
 	m.trf.Reset()
 	m.tlb.Flush()
 	m.ctc.Flush(nil)

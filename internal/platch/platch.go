@@ -37,7 +37,7 @@ func init() {
 	engine.Register(engine.Scheme{
 		Name:  "platch",
 		Title: "P-LATCH: filtered two-core log-based DIFT (§5.2)",
-		New:   func() engine.Backend { return &backend{cfg: DefaultConfig()} },
+		New:   func() engine.Backend { return NewBackend(DefaultConfig()) },
 	})
 }
 
@@ -371,6 +371,12 @@ type backend struct {
 	win      windows
 }
 
+// NewBackend returns a single-run P-LATCH backend with configuration cfg,
+// for callers that drive engine.RunProfile themselves (on a recycled
+// Session, say). Run uses it too. cfg.Events, cfg.Workers and cfg.Observer
+// do not reach the backend: the run's RunOptions carry those.
+func NewBackend(cfg Config) engine.Backend { return &backend{cfg: cfg} }
+
 // Name implements engine.Backend.
 func (b *backend) Name() string { return "platch" }
 
@@ -448,7 +454,7 @@ func (b *backend) Finish(s *engine.Session) engine.Result {
 
 // Run evaluates one benchmark under P-LATCH.
 func Run(p workload.Profile, cfg Config) (Result, error) {
-	res, err := engine.RunProfile(context.Background(), &backend{cfg: cfg}, p,
+	res, err := engine.RunProfile(context.Background(), NewBackend(cfg), p,
 		engine.RunOptions{Events: cfg.Events, Observer: cfg.Observer})
 	if err != nil {
 		return Result{}, err

@@ -20,7 +20,8 @@ type WorkloadJob struct {
 	Backend string `json:"backend"`
 	// Workload is the calibrated profile name.
 	Workload string `json:"workload"`
-	// Events is the stream length; 0 selects the facade default.
+	// Events is the stream length; 0 selects the facade default. The
+	// server answers 400 above MaxRunEvents.
 	Events uint64 `json:"events,omitempty"`
 	// Shards is the monitor shard count for sharded backends; 0 keeps the
 	// backend default.
@@ -60,7 +61,8 @@ type ProgramJob struct {
 	Input string `json:"input,omitempty"`
 	// Requests are inbound network messages consumed via sys 3/4.
 	Requests []string `json:"requests,omitempty"`
-	// MaxSteps bounds execution; 0 selects the server default.
+	// MaxSteps bounds execution; 0 selects the server default. The server
+	// answers 400 above MaxProgramSteps.
 	MaxSteps uint64 `json:"max_steps,omitempty"`
 	// Deadline bounds the run in wall-clock time, like WorkloadJob.Deadline.
 	Deadline string `json:"deadline,omitempty"`
@@ -73,6 +75,7 @@ type ProgramJob struct {
 // programJob is the validated, internal form.
 type programJob struct {
 	ProgramJob
+	deadline time.Duration
 }
 
 // DefaultMaxSteps bounds a program job that does not set max_steps.

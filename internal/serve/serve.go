@@ -298,48 +298,78 @@ func decodeJob(w http.ResponseWriter, r *http.Request, v any) bool {
 	return true
 }
 
-func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	var job WorkloadJob
-	if !decodeJob(w, r, &job) {
-		return
+// MaxRunEvents caps a workload job's events and MaxProgramSteps a program
+// job's max_steps: a job asking for more is answered 400 before it takes a
+// queue slot. Both sit far above what legitimate clients send (the facade
+// default is latch.DefaultRunEvents, programs default to DefaultMaxSteps),
+// so the per-request deadline stays the bound that normally ends a run.
+const (
+	MaxRunEvents    = 100_000_000
+	MaxProgramSteps = 1_000_000_000
+)
+
+// runJob is a decoded, validated /v1/run request.
+type runJob struct {
+	WorkloadJob
+	deadline time.Duration
+	cadence  time.Duration
+}
+
+// parseRun decodes and validates a /v1/run request before it occupies a
+// queue slot: the facade's request validation, the server's backend
+// allowlist, policy gate and events cap, and the deadline and telemetry
+// strings. On failure it answers the request and returns nil.
+func (s *Server) parseRun(w http.ResponseWriter, r *http.Request) *runJob {
+	var job runJob
+	if !decodeJob(w, r, &job.WorkloadJob) {
+		return nil
 	}
-	// Validate before occupying a queue slot: the facade's request
-	// validation plus serving-only fields.
 	if err := job.request(nil).Validate(); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
+		return nil
+	}
+	if job.Events > MaxRunEvents {
+		http.Error(w, fmt.Sprintf("events %d exceeds the server cap of %d", job.Events, MaxRunEvents), http.StatusBadRequest)
+		return nil
 	}
 	if len(s.cfg.Backends) > 0 && !contains(s.cfg.Backends, job.Backend) {
 		http.Error(w, fmt.Sprintf("backend %q not enabled on this server (enabled: %v)",
 			job.Backend, s.cfg.Backends), http.StatusForbidden)
-		return
+		return nil
 	}
 	if status, err := s.cfg.Policy.checkPolicy(job.Policy); status != 0 {
 		http.Error(w, err.Error(), status)
-		return
+		return nil
 	}
-	deadline, err := parseDeadline(job.Deadline, s.cfg.DefaultDeadline, s.cfg.MaxDeadline)
-	if err != nil {
+	var err error
+	if job.deadline, err = parseDeadline(job.Deadline, s.cfg.DefaultDeadline, s.cfg.MaxDeadline); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
+		return nil
 	}
-	var cadence time.Duration
 	if job.Telemetry != "" {
-		cadence, err = time.ParseDuration(job.Telemetry)
-		if err != nil || cadence <= 0 {
+		job.cadence, err = time.ParseDuration(job.Telemetry)
+		if err != nil || job.cadence <= 0 {
 			http.Error(w, fmt.Sprintf("bad telemetry cadence %q", job.Telemetry), http.StatusBadRequest)
-			return
+			return nil
 		}
+	}
+	return &job
+}
+
+func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
+	job := s.parseRun(w, r)
+	if job == nil {
+		return
 	}
 	reqCtx := r.Context()
 	s.admit(w, r, func(st *stream, ws *workerState, id uint64) {
 		ctx := reqCtx
-		if deadline > 0 {
+		if job.deadline > 0 {
 			var cancel func()
-			ctx, cancel = context.WithTimeout(ctx, deadline)
+			ctx, cancel = context.WithTimeout(ctx, job.deadline)
 			defer cancel()
 		}
-		s.runWorkload(ctx, st, ws, &job, cadence)
+		s.runWorkload(ctx, st, ws, &job.WorkloadJob, job.cadence)
 	})
 }
 
@@ -429,37 +459,51 @@ func (s *Server) runWorkload(ctx context.Context, st *stream, ws *workerState, j
 	s.completed.Add(1)
 }
 
-func (s *Server) handleProgram(w http.ResponseWriter, r *http.Request) {
-	var wire ProgramJob
-	if !decodeJob(w, r, &wire) {
-		return
+// parseProgram decodes and validates a /v1/program request before it
+// occupies a queue slot: the source must be present and assemble (a
+// syntactically bad program is the caller's 400, not a queue slot), and the
+// max_steps cap, policy gate and deadline apply. On failure it answers the
+// request and returns nil.
+func (s *Server) parseProgram(w http.ResponseWriter, r *http.Request) *programJob {
+	var job programJob
+	if !decodeJob(w, r, &job.ProgramJob) {
+		return nil
 	}
-	if wire.Source == "" {
+	if job.Source == "" {
 		http.Error(w, "source is required", http.StatusBadRequest)
-		return
+		return nil
 	}
-	// Assemble up front: a syntactically bad program is the caller's 400,
-	// not a queue slot.
-	if _, err := latch.Assemble(wire.Source); err != nil {
+	if _, err := latch.Assemble(job.Source); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
+		return nil
 	}
-	if status, err := s.cfg.Policy.checkPolicy(wire.Policy); status != 0 {
+	if job.MaxSteps > MaxProgramSteps {
+		http.Error(w, fmt.Sprintf("max_steps %d exceeds the server cap of %d", job.MaxSteps, MaxProgramSteps), http.StatusBadRequest)
+		return nil
+	}
+	if status, err := s.cfg.Policy.checkPolicy(job.Policy); status != 0 {
 		http.Error(w, err.Error(), status)
-		return
+		return nil
 	}
-	deadline, err := parseDeadline(wire.Deadline, s.cfg.DefaultDeadline, s.cfg.MaxDeadline)
-	if err != nil {
+	var err error
+	if job.deadline, err = parseDeadline(job.Deadline, s.cfg.DefaultDeadline, s.cfg.MaxDeadline); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
+		return nil
+	}
+	return &job
+}
+
+func (s *Server) handleProgram(w http.ResponseWriter, r *http.Request) {
+	job := s.parseProgram(w, r)
+	if job == nil {
 		return
 	}
-	job := &programJob{ProgramJob: wire}
 	reqCtx := r.Context()
 	s.admit(w, r, func(st *stream, ws *workerState, id uint64) {
 		ctx := reqCtx
-		if deadline > 0 {
+		if job.deadline > 0 {
 			var cancel func()
-			ctx, cancel = context.WithTimeout(ctx, deadline)
+			ctx, cancel = context.WithTimeout(ctx, job.deadline)
 			defer cancel()
 		}
 		s.runProgram(ctx, st, job, id)

@@ -537,3 +537,45 @@ func TestBodyCap(t *testing.T) {
 		}
 	}
 }
+
+// TestClientKnobCaps: events and max_steps are capped by package constants.
+// A job at the cap is admitted and runs (the replay is cut short by its
+// deadline; the program halts at once); one above the cap is answered 400
+// before it takes a queue slot.
+func TestClientKnobCaps(t *testing.T) {
+	_, ts := newTestServer(t, serve.Config{Workers: 1, QueueDepth: 2})
+	cases := []struct {
+		name string
+		path string
+		body any
+		want int
+	}{
+		{"events at the cap", "/v1/run",
+			serve.WorkloadJob{Backend: "hlatch", Workload: "gcc", Events: serve.MaxRunEvents, Deadline: "20ms"}, http.StatusOK},
+		{"events over the cap", "/v1/run",
+			serve.WorkloadJob{Backend: "hlatch", Workload: "gcc", Events: serve.MaxRunEvents + 1}, http.StatusBadRequest},
+		{"max_steps at the cap", "/v1/program",
+			serve.ProgramJob{Source: "movi r1, 3\n sys 1", MaxSteps: serve.MaxProgramSteps}, http.StatusOK},
+		{"max_steps over the cap", "/v1/program",
+			serve.ProgramJob{Source: "movi r1, 3\n sys 1", MaxSteps: serve.MaxProgramSteps + 1}, http.StatusBadRequest},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			status, lines := postNDJSON(t, ts.URL+c.path, c.body, nil)
+			if status != c.want {
+				t.Fatalf("status %d, want %d (%v)", status, c.want, lines)
+			}
+			if status != http.StatusOK {
+				if !strings.Contains(fmt.Sprint(lines), "cap") {
+					t.Fatalf("400 does not name the cap: %v", lines)
+				}
+				return
+			}
+			// Admitted: the stream ends in a terminal line (the capped
+			// replay ends in its deadline's error).
+			if typ := lastLine(t, lines)["type"]; typ != "result" && typ != "error" {
+				t.Fatalf("admitted job ended with %v", lines)
+			}
+		})
+	}
+}

@@ -28,6 +28,7 @@ package shadow
 import (
 	"fmt"
 	"math/bits"
+	"sync"
 
 	"latch/internal/mem"
 )
@@ -106,11 +107,19 @@ type pageLeaf [leafSize]*page
 // (address >> log2(unit size)).
 type Watcher func(unit uint32, tainted bool)
 
-// ByteWatcher observes every byte-level taint-status transition (an address
-// changing between clean and tainted). The S-LATCH clear-bit machinery
-// subscribes to it: every zero-write to a previously tainted byte asserts
-// the domain's clear bit, every taint re-assertion retires it (§5.1.4).
-type ByteWatcher func(addr uint32, tainted bool)
+// ByteWatcher observes byte-level taint-status transitions (addresses
+// changing between clean and tainted) one within-domain span at a time: the
+// n bytes [addr, addr+n) are contiguous, lie in one taint domain, and all
+// changed in the direction given by tainted. Set reports a one-byte span.
+// SetRange reports each maximal run of contiguous transitions within a
+// domain as one span — the whole domain's share of the range when every
+// byte of it changes — delivered when the run ends: after the domain and
+// page transitions its bytes caused, before any transition of a later
+// byte. The S-LATCH clear-bit machinery subscribes to it: a zero-write to a
+// previously tainted byte asserts the domain's clear bit, a taint
+// re-assertion retires it (§5.1.4) — a per-domain decision, which is why
+// hardware updates coarse state once per domain, not once per byte.
+type ByteWatcher func(addr uint32, n int, tainted bool)
 
 // Shadow is a sparse byte-precise taint map over the 32-bit address space.
 type Shadow struct {
@@ -142,9 +151,50 @@ type Shadow struct {
 	everTaintedCount int
 
 	// allocated lists tag pages currently backed by storage; free holds
-	// zeroed pages recycled by Reset.
+	// zeroed pages recycled by Reset, or pool does when one is shared.
 	allocated []uint32
 	free      []*page
+	pool      *PagePool
+}
+
+// PagePool is a free list of zeroed tag pages shared by several shadows:
+// the pages one shadow's Reset releases serve whichever shadow next needs
+// one, so a set of shadows used by turns holds about one run's pages, not
+// one run's pages each. It is safe for concurrent use.
+type PagePool struct {
+	mu   sync.Mutex
+	free []*page
+}
+
+// get returns a zeroed page from the pool, or nil when it is empty.
+func (pp *PagePool) get() *page {
+	pp.mu.Lock()
+	defer pp.mu.Unlock()
+	n := len(pp.free)
+	if n == 0 {
+		return nil
+	}
+	p := pp.free[n-1]
+	pp.free[n-1] = nil
+	pp.free = pp.free[:n-1]
+	return p
+}
+
+// put adds zeroed pages to the pool.
+func (pp *PagePool) put(pages []*page) {
+	pp.mu.Lock()
+	pp.free = append(pp.free, pages...)
+	pp.mu.Unlock()
+}
+
+// SharePages makes s draw new tag pages from pool before allocating and
+// give them back to pool on Reset, instead of keeping a free list of its
+// own; the pages s has already freed move to pool.
+func (s *Shadow) SharePages(pool *PagePool) {
+	pool.put(s.free)
+	clear(s.free)
+	s.free = s.free[:0]
+	s.pool = pool
 }
 
 // New creates a shadow with the given domain size, which must be a power of
@@ -187,8 +237,9 @@ func (s *Shadow) OnDomainTransition(w Watcher) { s.onDomain = w }
 // clean and tainted. Passing nil removes the watcher.
 func (s *Shadow) OnPageTransition(w Watcher) { s.onPage = w }
 
-// OnByteTransition registers the watcher called on every byte-level taint
-// status change. Passing nil removes the watcher.
+// OnByteTransition registers the watcher called with every span of
+// byte-level taint status changes (see ByteWatcher). Passing nil removes the
+// watcher.
 func (s *Shadow) OnByteTransition(w ByteWatcher) { s.onByte = w }
 
 // lookup returns the page numbered pn or nil, going through the translation
@@ -233,7 +284,10 @@ func (s *Shadow) getPage(pn uint32, create bool) *page {
 			p = s.free[n-1]
 			s.free[n-1] = nil
 			s.free = s.free[:n-1]
-		} else {
+		} else if s.pool != nil {
+			p = s.pool.get()
+		}
+		if p == nil {
 			p = new(page)
 		}
 		leaf[pn&(leafSize-1)] = p
@@ -304,7 +358,7 @@ func (s *Shadow) Set(addr uint32, tag Tag) Tag {
 			}
 		}
 		if s.onByte != nil {
-			s.onByte(addr, true)
+			s.onByte(addr, 1, true)
 		}
 	case old != TagClean && tag == TagClean:
 		p.taintedBytes--
@@ -317,17 +371,18 @@ func (s *Shadow) Set(addr uint32, tag Tag) Tag {
 			s.onPage(pn, false)
 		}
 		if s.onByte != nil {
-			s.onByte(addr, false)
+			s.onByte(addr, 1, false)
 		}
 	}
 	return old
 }
 
 // SetRange assigns tag to n bytes starting at addr. It is observably
-// equivalent to n ascending Set calls — identical counter updates and
-// watcher callback sequence — but resolves each tag page once, so the
-// taint initialization of multi-kilobyte inputs does not pay a page lookup
-// per byte.
+// equivalent to n ascending Set calls — identical tags, counters, and
+// domain and page watcher sequence — except that byte-watcher calls are
+// merged into within-domain spans (see ByteWatcher). Each tag page is
+// resolved once, so the taint initialization of multi-kilobyte inputs does
+// not pay a page lookup per byte.
 func (s *Shadow) SetRange(addr uint32, n int, tag Tag) {
 	for n > 0 {
 		off := addr % mem.PageSize
@@ -350,60 +405,33 @@ func (s *Shadow) setPageRange(pn, off uint32, run int, tag Tag) {
 	}
 	base := pn << mem.PageShift
 	end := off + uint32(run)
-	if tag != TagClean && s.onByte == nil {
-		// Clean-span fill: when every domain the span touches holds no
-		// tainted bytes, every byte transitions, so the counters can be set
-		// wholesale. The watcher sequence matches the per-byte order: each
-		// domain fires at its first byte, and the page transition fires right
-		// after the very first domain's — and only if the page held no taint
-		// anywhere before the fill.
-		dEnd := (end - 1) >> s.domShift
-		clean := true
-		for d := off >> s.domShift; d <= dEnd; d++ {
-			if p.domainBytes[d] != 0 {
-				clean = false
-				break
-			}
-		}
-		if clean {
-			pageWasClean := p.taintedBytes == 0
-			for i := off; i < end; i++ {
-				p.tags[i] = tag
-			}
-			p.taintedBytes += uint16(run)
-			s.taintedBytes += uint64(run)
-			for d := off >> s.domShift; d <= dEnd; d++ {
-				lo := d << s.domShift
-				if lo < off {
-					lo = off
-				}
-				hi := (d + 1) << s.domShift
-				if hi > end {
-					hi = end
-				}
-				p.domainBytes[d] = uint16(hi - lo)
-				if s.onDomain != nil {
-					s.onDomain((base>>s.domShift)+d, true)
-				}
-				if lo == off && pageWasClean {
-					s.markEverTainted(pn)
-					if s.onPage != nil {
-						s.onPage(pn, true)
-					}
-				}
-			}
-			return
-		}
+	if tag != TagClean && s.fillClean(p, pn, off, end, tag) {
+		return
 	}
+	tainting := tag != TagClean
+	// [spanLo, spanHi) is the pending byte-watcher span (page offsets):
+	// contiguous transitions within one domain. It is delivered before the
+	// next domain's transitions fire, so per-domain watcher order holds.
+	var spanLo, spanHi uint32
 	for i := off; i < end; i++ {
 		old := p.tags[i]
 		if old == tag {
 			continue
 		}
 		p.tags[i] = tag
+		if (old != TagClean) == tainting {
+			continue // relabeling a tainted byte: no transition
+		}
+		if spanHi != spanLo && (spanHi != i || (i^spanLo)>>s.domShift != 0) {
+			s.byteSpan(base+spanLo, spanHi-spanLo, tainting)
+			spanLo = spanHi
+		}
+		if spanHi == spanLo {
+			spanLo = i
+		}
+		spanHi = i + 1
 		di := i >> s.domShift
-		switch {
-		case old == TagClean && tag != TagClean:
+		if tainting {
 			p.taintedBytes++
 			s.taintedBytes++
 			p.domainBytes[di]++
@@ -416,23 +444,68 @@ func (s *Shadow) setPageRange(pn, off uint32, run int, tag Tag) {
 					s.onPage(pn, true)
 				}
 			}
-			if s.onByte != nil {
-				s.onByte(base+i, true)
-			}
-		case old != TagClean && tag == TagClean:
-			p.taintedBytes--
-			s.taintedBytes--
-			p.domainBytes[di]--
-			if p.domainBytes[di] == 0 && s.onDomain != nil {
-				s.onDomain((base>>s.domShift)+di, false)
-			}
-			if p.taintedBytes == 0 && s.onPage != nil {
-				s.onPage(pn, false)
-			}
-			if s.onByte != nil {
-				s.onByte(base+i, false)
+			continue
+		}
+		p.taintedBytes--
+		s.taintedBytes--
+		p.domainBytes[di]--
+		if p.domainBytes[di] == 0 && s.onDomain != nil {
+			s.onDomain((base>>s.domShift)+di, false)
+		}
+		if p.taintedBytes == 0 && s.onPage != nil {
+			s.onPage(pn, false)
+		}
+	}
+	if spanHi != spanLo {
+		s.byteSpan(base+spanLo, spanHi-spanLo, tainting)
+	}
+}
+
+// fillClean is setPageRange's bulk path for tainting [off, end) of page p:
+// when every domain the span touches holds no tainted bytes, every byte
+// transitions, so the counters are set wholesale. It reports false, having
+// changed nothing, when some domain already holds taint. Domains are
+// written and announced one at a time, in ascending order — each domain's
+// tags and counters first, then its domain transition, the page transition
+// (after the very first domain, and only if the page held no taint
+// before), and the domain's byte span — so a watcher reading the shadow
+// sees every other domain exactly as the per-byte order leaves it.
+func (s *Shadow) fillClean(p *page, pn, off, end uint32, tag Tag) bool {
+	dEnd := (end - 1) >> s.domShift
+	for d := off >> s.domShift; d <= dEnd; d++ {
+		if p.domainBytes[d] != 0 {
+			return false
+		}
+	}
+	base := pn << mem.PageShift
+	pageWasClean := p.taintedBytes == 0
+	for d := off >> s.domShift; d <= dEnd; d++ {
+		lo := max(d<<s.domShift, off)
+		hi := min((d+1)<<s.domShift, end)
+		for i := lo; i < hi; i++ {
+			p.tags[i] = tag
+		}
+		p.domainBytes[d] = uint16(hi - lo)
+		p.taintedBytes += uint16(hi - lo)
+		s.taintedBytes += uint64(hi - lo)
+		if s.onDomain != nil {
+			s.onDomain((base>>s.domShift)+d, true)
+		}
+		if lo == off && pageWasClean {
+			s.markEverTainted(pn)
+			if s.onPage != nil {
+				s.onPage(pn, true)
 			}
 		}
+		s.byteSpan(base+lo, hi-lo, true)
+	}
+	return true
+}
+
+// byteSpan delivers one within-domain span to the byte watcher, if any.
+func (s *Shadow) byteSpan(addr, n uint32, tainted bool) {
+	if s.onByte != nil {
+		s.onByte(addr, int(n), tainted)
 	}
 }
 
@@ -601,8 +674,8 @@ func (s *Shadow) CurrentTaintedPages() int {
 
 // Reset clears all taint and statistics. Watchers are retained but not
 // invoked for the wholesale clear. The tag pages are zeroed and recycled
-// onto a free list rather than released, so repopulating after a Reset
-// allocates nothing.
+// onto the shadow's free list (or its shared PagePool) rather than
+// released, so repopulating after a Reset allocates nothing.
 func (s *Shadow) Reset() {
 	for _, pn := range s.allocated {
 		leaf := s.dir[pn>>leafBits]
@@ -624,6 +697,11 @@ func (s *Shadow) Reset() {
 		s.free = append(s.free, p)
 	}
 	s.allocated = s.allocated[:0]
+	if s.pool != nil {
+		s.pool.put(s.free)
+		clear(s.free)
+		s.free = s.free[:0]
+	}
 	for _, w := range s.everDirtyWords {
 		s.everTainted[w] = 0
 	}

@@ -1,6 +1,9 @@
 package shadow
 
 import (
+	"fmt"
+	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -145,6 +148,90 @@ func TestWatchers(t *testing.T) {
 	if len(pageEvents) != 2 || !pageEvents[0].tainted || pageEvents[1].tainted {
 		t.Fatalf("page events = %+v", pageEvents)
 	}
+}
+
+// TestByteWatcherSpans pins the span contract: SetRange reports each
+// domain's contiguous transitions as one byte-watcher call, after that
+// domain's own domain and page transitions, on the bulk path (clean
+// domains) and the per-byte path (partly tainted domains) alike.
+func TestByteWatcherSpans(t *testing.T) {
+	s := MustNew(64)
+	var log []string
+	s.OnDomainTransition(func(d uint32, tt bool) { log = append(log, fmt.Sprintf("dom %d %v", d, tt)) })
+	s.OnPageTransition(func(pn uint32, tt bool) { log = append(log, fmt.Sprintf("page %d %v", pn, tt)) })
+	s.OnByteTransition(func(a uint32, n int, tt bool) { log = append(log, fmt.Sprintf("bytes %d+%d %v", a, n, tt)) })
+	expect := func(what string, want ...string) {
+		t.Helper()
+		if !reflect.DeepEqual(log, want) {
+			t.Fatalf("%s: watcher log\n%q\nwant\n%q", what, log, want)
+		}
+		log = nil
+	}
+	s.SetRange(4000, 200, MustLabel(0)) // clean fill straddling pages 0 and 1
+	expect("clean fill",
+		"dom 62 true", "page 0 true", "bytes 4000+32 true",
+		"dom 63 true", "bytes 4032+64 true",
+		"dom 64 true", "page 1 true", "bytes 4096+64 true",
+		"dom 65 true", "bytes 4160+40 true")
+	s.Set(4100, TagClean)
+	expect("single byte", "bytes 4100+1 false")
+	s.SetRange(4090, 20, MustLabel(1)) // relabels, plus one re-taint at 4100
+	expect("per-byte path", "bytes 4100+1 true")
+	s.SetRange(3990, 120, TagClean) // clears domains 62..63 whole, 64 partly; 3990.. was clean
+	expect("clearing",
+		"dom 62 false", "bytes 4000+32 false",
+		"dom 63 false", "page 0 false", "bytes 4032+64 false",
+		"bytes 4096+14 false")
+}
+
+// TestSharedPagePool checks that shadows sharing a PagePool hand tag pages
+// to each other through Reset: the pages come back zeroed, and refilling
+// after a warm-up allocates nothing.
+func TestSharedPagePool(t *testing.T) {
+	var pool PagePool
+	a, b := MustNew(64), MustNew(8)
+	a.SharePages(&pool)
+	b.SharePages(&pool)
+	fill := func(s *Shadow) {
+		s.SetRange(0x10000, 3*mem.PageSize, MustLabel(0))
+		s.Reset()
+	}
+	fill(a)
+	if got := len(pool.free); got != 3 {
+		t.Fatalf("pool holds %d pages after a's Reset, want 3", got)
+	}
+	b.Set(0x20000, MustLabel(2))
+	if b.TaintedBytes() != 1 || b.Get(0x20001) != TagClean || b.DomainTaintedBytes(b.DomainIndex(0x20000)) != 1 {
+		t.Fatal("a page from the pool was not clean")
+	}
+	b.Reset()
+	if allocs := testing.AllocsPerRun(10, func() { fill(a); fill(b) }); allocs != 0 {
+		t.Fatalf("refill through the pool allocated %.0f times per run", allocs)
+	}
+}
+
+// TestSharedPagePoolConcurrent: shadows on separate goroutines share one
+// pool (the experiment Runner's workers do); run under -race.
+func TestSharedPagePoolConcurrent(t *testing.T) {
+	var pool PagePool
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		s := MustNew(64)
+		s.SharePages(&pool)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				s.SetRange(uint32(0x10000+i*mem.PageSize), 2*mem.PageSize, MustLabel(0))
+				if s.TaintedBytes() != 2*mem.PageSize {
+					t.Errorf("tainted %d bytes, want %d", s.TaintedBytes(), 2*mem.PageSize)
+					return
+				}
+				s.Reset()
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestRangeTag(t *testing.T) {

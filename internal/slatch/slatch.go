@@ -36,7 +36,7 @@ func init() {
 	engine.Register(engine.Scheme{
 		Name:  "slatch",
 		Title: "S-LATCH: accelerated single-core software DIFT (§5.1)",
-		New:   func() engine.Backend { return &backend{cfg: DefaultConfig()} },
+		New:   func() engine.Backend { return NewBackend(DefaultConfig()) },
 	})
 }
 
@@ -143,6 +143,12 @@ type backend struct {
 	cfg Config
 }
 
+// NewBackend returns a single-run S-LATCH backend with configuration cfg,
+// for callers that drive engine.RunProfile themselves (on a recycled
+// Session, say). Run uses it too. cfg.Events, cfg.Workers and cfg.Observer
+// do not reach the backend: the run's RunOptions carry those.
+func NewBackend(cfg Config) engine.Backend { return &backend{cfg: cfg} }
+
 // Name implements engine.Backend.
 func (b *backend) Name() string { return "slatch" }
 
@@ -226,7 +232,7 @@ func (b *backend) Finish(s *engine.Session) engine.Result {
 
 // Run simulates one benchmark under S-LATCH.
 func Run(p workload.Profile, cfg Config) (Result, error) {
-	res, err := engine.RunProfile(context.Background(), &backend{cfg: cfg}, p,
+	res, err := engine.RunProfile(context.Background(), NewBackend(cfg), p,
 		engine.RunOptions{Events: cfg.Events, Observer: cfg.Observer})
 	if err != nil {
 		return Result{}, err
