@@ -145,12 +145,15 @@ bench-gate:
 # fuzzer, which drives the differential checker from random case seeds,
 # then SetRange against byte-by-byte Set under watching LATCH modules
 # (identical coarse state), then the service's job decode-and-validate
-# front (no panic; only 200, 400 or 413).
+# front (no panic; only 200, 400 or 413), then the paper-grid loader and
+# the reproducer parser (no panic; accepted inputs round-trip unchanged).
 fuzz:
 	$(GO) test ./internal/isa -run='^$$' -fuzz=FuzzAssembleDecode -fuzztime=10s
 	$(GO) test ./internal/diffcheck -run='^$$' -fuzz=FuzzBackendEquivalence -fuzztime=30s
 	$(GO) test ./internal/latch -run='^$$' -fuzz=FuzzSetRangeWatched -fuzztime=10s
 	$(GO) test ./internal/serve -run='^$$' -fuzz=FuzzJobDecode -fuzztime=10s
+	$(GO) test ./cmd/latch-paper -run='^$$' -fuzz=FuzzLoadGrid -fuzztime=10s
+	$(GO) test ./internal/diffcheck -run='^$$' -fuzz=FuzzParseRepro -fuzztime=10s
 
 # Regenerate the experiment golden tables (and the telemetry snapshot that
 # rides along with them) after an intentional model change.

@@ -299,9 +299,7 @@ func runCoSim(ctx context.Context, src string, pol latch.Policy, input []byte, r
 	if err != nil {
 		return fail(err)
 	}
-	sys.Machine.Load(prog)
-	_, runErr := sys.Machine.Run(ctx, maxSteps)
-	code := sys.Machine.ExitCode()
+	code, runErr := sys.RunProgram(ctx, prog, maxSteps)
 	st := sys.Stats()
 	fmt.Printf("instructions: %d (hardware %d, software %d)\n",
 		st.Instructions, st.HWInstrs, st.SWInstrs)

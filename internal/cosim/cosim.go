@@ -16,8 +16,11 @@
 // package's: the System owns an engine.Session and drives the same
 // Trap/SwitchToSoftware/SoftwareStep/ReturnToHardware transitions the
 // stream-level backends use, so the two models can never drift on the §6.1
-// cost constants. Monitor (monitor.go) goes one step further and runs any
-// registered backend over a real program's commit stream.
+// cost constants. Parallel (parallel.go) is the P-LATCH two-core machine,
+// and Monitor (monitor.go) runs any registered backend over a real
+// program's commit stream. All three share one core (machine.go): the CPU,
+// the precise engine, the session with its module and shadow, and the run
+// path. They differ only in what happens when an instruction commits.
 //
 // Soundness argument mirrored from the paper: in hardware mode no
 // instruction with a tainted source operand executes un-trapped (tainted
@@ -29,10 +32,8 @@
 package cosim
 
 import (
-	"context"
 	"fmt"
 
-	"latch/internal/dift"
 	"latch/internal/engine"
 	"latch/internal/isa"
 	"latch/internal/latch"
@@ -103,15 +104,15 @@ func (s Stats) TotalCycles() uint64 { return s.Cycles.Total() }
 func (s Stats) Overhead() float64 { return s.Cycles.Overhead() }
 
 // System is a co-simulated S-LATCH machine. It satisfies vm.Tracker,
-// wrapping the precise engine with the mode-switching protocol.
+// wrapping the precise engine with the mode-switching protocol. The
+// control-flow check stays the engine's synchronous one in both modes: in
+// software mode it is the instrumented check; in hardware mode a tainted
+// target register traps through the TRF before the check fires, so the
+// engine view is never stale when it matters. The Machine, Engine, Module,
+// Shadow and Session fields and Run/RunProgram come from the shared core.
 type System struct {
-	Machine *vm.CPU
-	Engine  *dift.Engine
-	Module  *latch.Module
-	Shadow  *shadow.Shadow
-
-	cfg  Config
-	sess *engine.Session
+	machine
+	cfg Config
 }
 
 var _ vm.Tracker = (*System)(nil)
@@ -124,77 +125,37 @@ func New(cfg Config, pol policy.Policy) (*System, error) {
 	if cfg.SWSlowdown < 1 {
 		return nil, fmt.Errorf("cosim: software slowdown %v < 1", cfg.SWSlowdown)
 	}
-	sess, err := engine.NewSession(cfg.Latch)
-	if err != nil {
+	s := &System{cfg: cfg}
+	var err error
+	if s.machine, err = newMachine(cfg.Latch, pol, cfg.Observer, s); err != nil {
 		return nil, err
 	}
-	sess.AttachObserver(cfg.Observer)
-	sess.ConfigureEpochs(cfg.Costs, cfg.SWSlowdown-1, cfg.Costs.CodeCacheLat)
-	s := &System{
-		Engine: dift.NewEngine(sess.Shadow, pol),
-		Module: sess.Module,
-		Shadow: sess.Shadow,
-		cfg:    cfg,
-		sess:   sess,
-	}
-	s.Engine.SetObserver(cfg.Observer)
-	s.Machine = vm.New()
-	s.Machine.SetTracker(s)
-	s.Machine.SetObserver(cfg.Observer)
+	s.Session.ConfigureEpochs(cfg.Costs, cfg.SWSlowdown-1, cfg.Costs.CodeCacheLat)
 	return s, nil
 }
 
 // Mode returns the current execution mode.
-func (s *System) Mode() Mode { return s.sess.Mode() }
+func (s *System) Mode() Mode { return s.Session.Mode() }
 
 // Stats returns the accumulated accounting.
 func (s *System) Stats() Stats {
+	ss := s.Session
 	return Stats{
-		Instructions: s.sess.Events,
-		HWInstrs:     s.sess.HWInstrs,
-		SWInstrs:     s.sess.SWInstrs,
-		Switches:     s.sess.Switches,
-		Returns:      s.sess.Returns,
-		Traps:        s.sess.Traps,
-		FalseTraps:   s.sess.FalseTraps,
-		Cycles:       s.sess.CycleReport(),
+		Instructions: ss.Events,
+		HWInstrs:     ss.HWInstrs,
+		SWInstrs:     ss.SWInstrs,
+		Switches:     ss.Switches,
+		Returns:      ss.Returns,
+		Traps:        ss.Traps,
+		FalseTraps:   ss.FalseTraps,
+		Cycles:       ss.CycleReport(),
 	}
-}
-
-// Run assembles src, loads it, and executes up to maxSteps instructions.
-// Cancellation follows vm.CPU.Run: ctx is polled every
-// vm.CancelCheckInterval instructions.
-func (s *System) Run(ctx context.Context, src string, maxSteps uint64) (uint32, error) {
-	prog, err := isa.Assemble(src)
-	if err != nil {
-		return 0, err
-	}
-	s.Machine.Load(prog)
-	if _, err := s.Machine.Run(ctx, maxSteps); err != nil {
-		return 0, err
-	}
-	return s.Machine.ExitCode(), nil
-}
-
-// --- vm.Tracker ---
-
-// Touches delegates the ground-truth predicate to the precise engine.
-func (s *System) Touches(in isa.Instr, addr uint32) bool {
-	return s.Engine.Touches(in, addr)
-}
-
-// IndirectTarget enforces the control-flow policy in both modes: in
-// software mode it is the instrumented check; in hardware mode a tainted
-// target register traps through the TRF before this check fires, so the
-// engine view is never stale when it matters.
-func (s *System) IndirectTarget(pc uint32, reg int, target uint32) error {
-	return s.Engine.IndirectTarget(pc, reg, target)
 }
 
 // Commit implements the per-instruction S-LATCH protocol over the shared
 // epoch state machine.
 func (s *System) Commit(pc uint32, in isa.Instr, addr uint32) error {
-	ss := s.sess
+	ss := s.Session
 	ss.Events++
 	ss.Cycles.Base++
 	precise := s.Engine.Touches(in, addr)
@@ -247,7 +208,7 @@ func (s *System) Commit(pc uint32, in isa.Instr, addr uint32) error {
 func (s *System) hardwarePositive(in isa.Instr, addr uint32) bool {
 	positive := trfSourceTainted(s.Module.TRF(), in)
 	if in.ReadsMem() || in.WritesMem() {
-		res := s.sess.CheckMem(addr, in.Op.MemSize())
+		res := s.Session.CheckMem(addr, in.Op.MemSize())
 		positive = positive || res.CoarsePositive
 	}
 	return positive
@@ -326,29 +287,8 @@ func (s *System) syncTRF() {
 	}
 }
 
-// --- delegation of the remaining Tracker surface ---
-
-// Input forwards taint initialization to the engine (coarse state follows
-// through the shadow watchers).
-func (s *System) Input(addr uint32, n int, source dift.InputSource, conn int) {
-	s.Engine.Input(addr, n, source, conn)
-}
-
-// Output forwards sink checks.
-func (s *System) Output(pc uint32, addr uint32, n int) error {
-	return s.Engine.Output(pc, addr, n)
-}
-
-// Accept forwards connection registration.
-func (s *System) Accept() int { return s.Engine.Accept() }
-
-// SetTaintByte forwards stnt, write-through included.
-func (s *System) SetTaintByte(addr uint32, tag shadow.Tag) {
-	s.Module.StoreTaint(addr, tag)
-}
-
 // SetRegTaintMask forwards strf to both the engine and the TRF.
 func (s *System) SetRegTaintMask(mask uint32, tag shadow.Tag) {
-	s.Engine.SetRegTaintMask(mask, tag)
+	s.machine.SetRegTaintMask(mask, tag)
 	s.Module.TRF().SetMask(mask, tag)
 }

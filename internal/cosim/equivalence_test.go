@@ -4,12 +4,11 @@ import (
 	"context"
 	"testing"
 
-	"latch/internal/dift"
+	"latch/internal/engine"
 	"latch/internal/isa"
 	"latch/internal/mem"
 	"latch/internal/policy"
 	"latch/internal/shadow"
-	"latch/internal/vm"
 	"latch/internal/workload"
 )
 
@@ -41,21 +40,21 @@ func taintSnapshot(sh *shadow.Shadow) map[uint32]shadow.Tag {
 
 func runPure(t *testing.T, src string, input []byte, requests [][]byte) (finalState, error) {
 	t.Helper()
-	sh := shadow.MustNew(shadow.DefaultDomainSize)
-	eng := dift.NewEngine(sh, policy.Default())
-	m := vm.New()
-	m.SetTracker(eng)
-	m.Env.FileData = input
-	m.Env.Requests = requests
+	ref, err := engine.NewReference(policy.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref.Machine.Env.FileData = input
+	ref.Machine.Env.Requests = requests
 	prog, err := isa.Assemble(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Load(prog)
-	_, runErr := m.Run(context.Background(), 1_000_000)
+	_, runErr := ref.RunProgram(context.Background(), prog, 1_000_000)
+	m := ref.Machine
 	return finalState{
 		regs: m.Regs, exitCode: m.ExitCode(),
-		output: m.Env.Output.String(), tainted: taintSnapshot(sh),
+		output: m.Env.Output.String(), tainted: taintSnapshot(ref.Shadow),
 	}, runErr
 }
 
@@ -83,7 +82,6 @@ func runParallelCosim(t *testing.T, src string, input []byte, requests [][]byte)
 	sys.Machine.Env.FileData = input
 	sys.Machine.Env.Requests = requests
 	_, runErr := sys.Run(context.Background(), src, 1_000_000)
-	sys.drain()
 	return finalState{
 		regs: sys.Machine.Regs, exitCode: sys.Machine.ExitCode(),
 		output: sys.Machine.Env.Output.String(), tainted: taintSnapshot(sys.Shadow),

@@ -1,14 +1,9 @@
 package cosim
 
 import (
-	"context"
-
-	"latch/internal/dift"
 	"latch/internal/engine"
 	"latch/internal/isa"
-	"latch/internal/latch"
 	"latch/internal/policy"
-	"latch/internal/shadow"
 	"latch/internal/telemetry"
 	"latch/internal/trace"
 	"latch/internal/vm"
@@ -21,11 +16,10 @@ import (
 // calibrated generators emit and fed to the backend through a shared
 // engine.Session. Equivalence checks can therefore compare any backend's
 // view of a program against the conventional engine's on identical inputs.
+// The Machine, Engine, Module, Shadow and Session fields and Run/RunProgram
+// come from the shared core.
 type Monitor struct {
-	Machine *vm.CPU
-	Engine  *dift.Engine
-	Module  *latch.Module
-	Session *engine.Session
+	machine
 
 	backend engine.Backend
 	// one is the one-event delivery slice Commit hands the backend; a field
@@ -50,63 +44,20 @@ func NewMonitor(backendName string, pol policy.Policy, obs telemetry.Observer) (
 // differential checker uses this to sweep the concurrent backend's shard
 // counts. The backend must be fresh: one instance serves one run.
 func NewMonitorBackend(b engine.Backend, pol policy.Policy, obs telemetry.Observer) (*Monitor, error) {
-	sess, err := engine.NewSession(b.Config())
-	if err != nil {
+	m := &Monitor{backend: b}
+	var err error
+	if m.machine, err = newMachine(b.Config(), pol, obs, m); err != nil {
 		return nil, err
 	}
-	sess.AttachObserver(obs)
-	m := &Monitor{
-		Engine:  dift.NewEngine(sess.Shadow, pol),
-		Module:  sess.Module,
-		Session: sess,
-		backend: b,
-	}
-	if err := b.Init(sess); err != nil {
+	if err := b.Init(m.Session); err != nil {
 		return nil, err
 	}
-	m.Engine.SetObserver(obs)
-	m.Machine = vm.New()
-	m.Machine.SetTracker(m)
-	m.Machine.SetObserver(obs)
 	return m, nil
-}
-
-// Run assembles src, loads it, and executes up to maxSteps instructions.
-func (m *Monitor) Run(ctx context.Context, src string, maxSteps uint64) (uint32, error) {
-	prog, err := isa.Assemble(src)
-	if err != nil {
-		return 0, err
-	}
-	return m.RunProgram(ctx, prog, maxSteps)
-}
-
-// RunProgram loads an already-assembled program and executes up to maxSteps
-// instructions. The differential checker uses this entry point: generated
-// programs exist as instruction slices, not assembly source.
-func (m *Monitor) RunProgram(ctx context.Context, prog *isa.Program, maxSteps uint64) (uint32, error) {
-	m.Machine.Load(prog)
-	if _, err := m.Machine.Run(ctx, maxSteps); err != nil {
-		return 0, err
-	}
-	return m.Machine.ExitCode(), nil
 }
 
 // Result finalizes the backend over the session.
 func (m *Monitor) Result() engine.Result {
 	return m.backend.Finish(m.Session)
-}
-
-// --- vm.Tracker ---
-
-// Touches delegates the ground-truth predicate to the precise engine.
-func (m *Monitor) Touches(in isa.Instr, addr uint32) bool {
-	return m.Engine.Touches(in, addr)
-}
-
-// IndirectTarget enforces the control-flow policy synchronously through the
-// precise engine; the backend under test only sees the event stream.
-func (m *Monitor) IndirectTarget(pc uint32, reg int, target uint32) error {
-	return m.Engine.IndirectTarget(pc, reg, target)
 }
 
 // Commit translates the committed instruction into a trace event, delivers
@@ -127,28 +78,4 @@ func (m *Monitor) Commit(pc uint32, in isa.Instr, addr uint32) error {
 	}
 	m.backend.StepBatch(m.Session, m.one[:])
 	return m.Engine.Commit(pc, in, addr)
-}
-
-// Input forwards taint initialization to the engine (coarse state follows
-// through the shadow watchers).
-func (m *Monitor) Input(addr uint32, n int, source dift.InputSource, conn int) {
-	m.Engine.Input(addr, n, source, conn)
-}
-
-// Output forwards sink checks.
-func (m *Monitor) Output(pc uint32, addr uint32, n int) error {
-	return m.Engine.Output(pc, addr, n)
-}
-
-// Accept forwards connection registration.
-func (m *Monitor) Accept() int { return m.Engine.Accept() }
-
-// SetTaintByte forwards stnt, write-through included.
-func (m *Monitor) SetTaintByte(addr uint32, tag shadow.Tag) {
-	m.Module.StoreTaint(addr, tag)
-}
-
-// SetRegTaintMask forwards strf.
-func (m *Monitor) SetRegTaintMask(mask uint32, tag shadow.Tag) {
-	m.Engine.SetRegTaintMask(mask, tag)
 }

@@ -1,18 +1,15 @@
 package cosim
 
 import (
-	"context"
 	"fmt"
 
 	"latch/internal/dift"
-	"latch/internal/engine"
 	"latch/internal/isa"
 	"latch/internal/latch"
 	"latch/internal/platch"
 	"latch/internal/policy"
 	"latch/internal/shadow"
 	"latch/internal/telemetry"
-	"latch/internal/vm"
 )
 
 // ParallelConfig parameterizes the P-LATCH two-core co-simulation.
@@ -102,12 +99,11 @@ type logEntry struct {
 // committed instructions enter the shared log; the monitor core replays
 // the log through a byte-precise DIFT engine at its own service rate.
 // Violations are therefore detected with a lag; output syscalls and
-// program exit act as sync points that drain the log first.
+// program exit act as sync points that drain the log first. The Machine,
+// Engine, Module, Shadow and Session fields and Run/RunProgram come from the
+// shared core.
 type Parallel struct {
-	Machine *vm.CPU
-	Engine  *dift.Engine // the monitor's engine (owns the shadow)
-	Module  *latch.Module
-	Shadow  *shadow.Shadow
+	machine // the monitor's engine owns the shadow
 
 	cfg  ParallelConfig
 	pend *platch.PendingFIFO
@@ -129,24 +125,19 @@ func NewParallel(cfg ParallelConfig, pol policy.Policy) (*Parallel, error) {
 	if cfg.ServiceCycles < 1 {
 		return nil, fmt.Errorf("cosim: service cycles %v < 1", cfg.ServiceCycles)
 	}
-	sess, err := engine.NewSession(cfg.Latch)
-	if err != nil {
-		return nil, err
-	}
-	sess.AttachObserver(cfg.Observer)
 	pol.FailFast = false // deferred detection: record, then surface
 	p := &Parallel{
-		Engine: dift.NewEngine(sess.Shadow, pol),
-		Module: sess.Module,
-		Shadow: sess.Shadow,
-		cfg:    cfg,
-		pend:   platch.NewPendingFIFO(cfg.PendingEntries),
-		queue:  make([]logEntry, 0, cfg.QueueDepth),
+		cfg:   cfg,
+		pend:  platch.NewPendingFIFO(cfg.PendingEntries),
+		queue: make([]logEntry, 0, cfg.QueueDepth),
 	}
-	p.Engine.SetObserver(cfg.Observer)
-	p.Machine = vm.New()
-	p.Machine.SetTracker(p)
-	p.Machine.SetObserver(cfg.Observer)
+	var err error
+	if p.machine, err = newMachine(cfg.Latch, pol, cfg.Observer, p); err != nil {
+		return nil, err
+	}
+	// Program exit is a sync point however the run ends: the monitor
+	// catches up, so a run cut short still reports what it logged.
+	p.atExit = p.drain
 	return p, nil
 }
 
@@ -155,20 +146,6 @@ func (p *Parallel) Stats() ParallelStats { return p.stats }
 
 // Violations returns the monitor's deferred detections.
 func (p *Parallel) Violations() []DeferredViolation { return p.violations }
-
-// Run assembles src, executes it, and drains the monitor at exit.
-func (p *Parallel) Run(ctx context.Context, src string, maxSteps uint64) (uint32, error) {
-	prog, err := isa.Assemble(src)
-	if err != nil {
-		return 0, err
-	}
-	p.Machine.Load(prog)
-	if _, err := p.Machine.Run(ctx, maxSteps); err != nil {
-		return 0, err
-	}
-	p.drain()
-	return p.Machine.ExitCode(), nil
-}
 
 // processOne replays the oldest log entry through the monitor's engine.
 func (p *Parallel) processOne() {
@@ -283,13 +260,6 @@ func (p *Parallel) Commit(pc uint32, in isa.Instr, addr uint32) error {
 	return nil
 }
 
-// Input applies taint synchronously: the hardware taints source data as it
-// is delivered, so the coarse state never lags taint creation from
-// syscalls.
-func (p *Parallel) Input(addr uint32, n int, source dift.InputSource, conn int) {
-	p.Engine.Input(addr, n, source, conn)
-}
-
 // Output is a sync point: the monitor drains before externally visible
 // effects, bounding the damage window of deferred detection.
 func (p *Parallel) Output(pc uint32, addr uint32, n int) error {
@@ -309,17 +279,4 @@ func (p *Parallel) Output(pc uint32, addr uint32, n int) error {
 		return v
 	}
 	return nil
-}
-
-// Accept forwards connection registration.
-func (p *Parallel) Accept() int { return p.Engine.Accept() }
-
-// SetTaintByte forwards stnt through the module (synchronous write-through).
-func (p *Parallel) SetTaintByte(addr uint32, tag shadow.Tag) {
-	p.Module.StoreTaint(addr, tag)
-}
-
-// SetRegTaintMask forwards strf.
-func (p *Parallel) SetRegTaintMask(mask uint32, tag shadow.Tag) {
-	p.Engine.SetRegTaintMask(mask, tag)
 }

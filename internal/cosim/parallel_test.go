@@ -2,10 +2,12 @@ package cosim
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"latch/internal/dift"
 	"latch/internal/policy"
+	"latch/internal/vm"
 	"latch/internal/workload"
 )
 
@@ -111,10 +113,9 @@ func TestParallelDeferredDetection(t *testing.T) {
 	}
 	p.Machine.Env.FileData = attack
 	// The hijacked jump lands at 0x1000 (zeroed memory decodes as nop);
-	// bound the run and then drain.
+	// bound the run. Program exit drains the log however the run ends.
 	_, runErr := p.Run(context.Background(), src, 2_000)
 	_ = runErr // the machine may fault in the weeds after the hijack
-	p.drain()
 	vs := p.Violations()
 	if len(vs) == 0 {
 		t.Fatal("monitor did not detect the hijack")
@@ -125,6 +126,30 @@ func TestParallelDeferredDetection(t *testing.T) {
 	}
 	if v.DetectedAt < v.IssuedAt {
 		t.Fatalf("detection before issue: %+v", v)
+	}
+}
+
+func TestParallelDrainsAtStepLimit(t *testing.T) {
+	// A run cut off by the step limit right after the hijacked jump still
+	// ends at a sync point: the queued jump reaches the monitor, and the
+	// violation is reported although the program never halted.
+	p := newParallel(t, nil)
+	p.Machine.Env.FileData = append(make([]byte, 16), 0x00, 0x10, 0x00, 0x00)
+	src, err := workload.ProgramSource("overflow")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, runErr := p.Run(context.Background(), src, 13)
+	var f vm.Fault
+	if !errors.As(runErr, &f) || f.Reason != vm.ErrStepLimit.Error() {
+		t.Fatalf("run error = %v, want the step-limit fault", runErr)
+	}
+	vs := p.Violations()
+	if len(vs) == 0 {
+		t.Fatal("step-limited run lost the queued hijack")
+	}
+	if vs[0].Violation.Kind != dift.ViolationControlFlow {
+		t.Fatalf("kind = %v", vs[0].Violation.Kind)
 	}
 }
 

@@ -38,11 +38,10 @@ func (r *Runner) ablationOptions(pass string) engine.RunOptions {
 func (r *Runner) AblationDomainSize() (*stats.Table, error) {
 	t := stats.NewTable("Ablation: taint-domain size (H-LATCH, combined miss % | false positives per 1K checks)",
 		"benchmark", "8B", "16B", "32B", "64B", "128B", "256B")
-	rows := make([][]any, len(ablationBenchmarks))
-	err := r.runJobs("ablation-domain", ablationBenchmarks, func(i int, name string, js *JobStat) error {
+	err := r.runRows(t, "ablation-domain", ablationBenchmarks, func(i int, name string, js *JobStat) ([]any, error) {
 		p, err := r.jobProfile("ablation-domain", name)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		row := []any{name}
 		opts := r.ablationOptions("ablation-domain")
@@ -51,7 +50,7 @@ func (r *Runner) AblationDomainSize() (*stats.Table, error) {
 			cfg.Latch.DomainSize = ds
 			res, err := runTyped[hlatch.Result](r, hlatch.NewBackend(cfg), p, opts)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			js.Events += res.Events
 			js.Checks += res.Checks
@@ -59,14 +58,10 @@ func (r *Runner) AblationDomainSize() (*stats.Table, error) {
 			row = append(row, fmt.Sprintf("%s|%s",
 				stats.FormatFloat(res.CombinedMissPct), stats.FormatFloat(fpPerK)))
 		}
-		rows[i] = row
-		return nil
+		return row, nil
 	})
 	if err != nil {
 		return nil, err
-	}
-	for _, row := range rows {
-		t.AddRowf(row...)
 	}
 	return t, nil
 }
@@ -81,11 +76,10 @@ func (r *Runner) AblationTimeout() (*stats.Table, error) {
 		header = append(header, fmt.Sprintf("%d", to))
 	}
 	t := stats.NewTable("Ablation: S-LATCH timeout in instructions (overhead over native)", header...)
-	rows := make([][]any, len(ablationBenchmarks))
-	err := r.runJobs("ablation-timeout", ablationBenchmarks, func(i int, name string, js *JobStat) error {
+	err := r.runRows(t, "ablation-timeout", ablationBenchmarks, func(i int, name string, js *JobStat) ([]any, error) {
 		p, err := r.jobProfile("ablation-timeout", name)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		row := []any{name}
 		opts := r.ablationOptions("ablation-timeout")
@@ -94,20 +88,16 @@ func (r *Runner) AblationTimeout() (*stats.Table, error) {
 			cfg.Costs.TimeoutInstrs = to
 			res, err := runTyped[slatch.Result](r, slatch.NewBackend(cfg), p, opts)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			js.Events += res.Events
 			js.Checks += res.Latch.Checks
 			row = append(row, res.Overhead())
 		}
-		rows[i] = row
-		return nil
+		return row, nil
 	})
 	if err != nil {
 		return nil, err
-	}
-	for _, row := range rows {
-		t.AddRowf(row...)
 	}
 	return t, nil
 }
@@ -123,11 +113,10 @@ func (r *Runner) AblationCTCSize() (*stats.Table, error) {
 	}
 	t := stats.NewTable("Ablation: CTC entries (H-LATCH CTC miss %)", header...)
 	benchmarks := append(append([]string(nil), ablationBenchmarks...), "astar")
-	rows := make([][]any, len(benchmarks))
-	err := r.runJobs("ablation-ctc", benchmarks, func(i int, name string, js *JobStat) error {
+	err := r.runRows(t, "ablation-ctc", benchmarks, func(i int, name string, js *JobStat) ([]any, error) {
 		p, err := r.jobProfile("ablation-ctc", name)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		row := []any{name}
 		opts := r.ablationOptions("ablation-ctc")
@@ -136,20 +125,16 @@ func (r *Runner) AblationCTCSize() (*stats.Table, error) {
 			cfg.Latch.CTCEntries = n
 			res, err := runTyped[hlatch.Result](r, hlatch.NewBackend(cfg), p, opts)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			js.Events += res.Events
 			js.Checks += res.Checks
 			row = append(row, res.CTCMissPct)
 		}
-		rows[i] = row
-		return nil
+		return row, nil
 	})
 	if err != nil {
 		return nil, err
-	}
-	for _, row := range rows {
-		t.AddRowf(row...)
 	}
 	return t, nil
 }
@@ -162,11 +147,10 @@ func (r *Runner) AblationCTCSize() (*stats.Table, error) {
 func (r *Runner) AblationClearBits() (*stats.Table, error) {
 	t := stats.NewTable("Ablation: clear-bit machinery (coarse domains marked vs truly tainted after a churning run)",
 		"benchmark", "truly tainted", "marked (eager)", "marked (lazy+scan)", "marked (no clear)", "stale % (no clear)")
-	rows := make([][]any, len(ablationBenchmarks))
-	err := r.runJobs("ablation-clear", ablationBenchmarks, func(i int, name string, js *JobStat) error {
+	err := r.runRows(t, "ablation-clear", ablationBenchmarks, func(i int, name string, js *JobStat) ([]any, error) {
 		p, err := r.jobProfile("ablation-clear", name)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		// Boost churn so domain retirement is the dominant effect.
 		p.ChurnProb = 0.8
@@ -219,28 +203,24 @@ func (r *Runner) AblationClearBits() (*stats.Table, error) {
 
 		eager, err := run(latch.EagerClear)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		lazy, err := run(latch.LazyClear)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		none, err := run(latch.NoClear)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		stale := 0.0
 		if none.marked > 0 {
 			stale = 100 * float64(none.marked-none.truth) / float64(none.marked)
 		}
-		rows[i] = []any{name, eager.truth, eager.marked, lazy.marked, none.marked, stale}
-		return nil
+		return []any{name, eager.truth, eager.marked, lazy.marked, none.marked, stale}, nil
 	})
 	if err != nil {
 		return nil, err
-	}
-	for _, row := range rows {
-		t.AddRowf(row...)
 	}
 	return t, nil
 }
@@ -256,11 +236,10 @@ func (r *Runner) AblationQueueDepth() (*stats.Table, error) {
 	}
 	t := stats.NewTable("Ablation: P-LATCH queue depth (queue-sim overhead, simple LBA)", header...)
 	benchmarks := append(append([]string(nil), ablationBenchmarks...), "astar")
-	rows := make([][]any, len(benchmarks))
-	err := r.runJobs("ablation-queue", benchmarks, func(i int, name string, js *JobStat) error {
+	err := r.runRows(t, "ablation-queue", benchmarks, func(i int, name string, js *JobStat) ([]any, error) {
 		p, err := r.jobProfile("ablation-queue", name)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		row := []any{name}
 		opts := r.ablationOptions("ablation-queue")
@@ -269,19 +248,15 @@ func (r *Runner) AblationQueueDepth() (*stats.Table, error) {
 			cfg.QueueDepth = d
 			res, err := runTyped[platch.Result](r, platch.NewBackend(cfg), p, opts)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			js.Events += res.Events
 			row = append(row, res.QueueOverheadSimple)
 		}
-		rows[i] = row
-		return nil
+		return row, nil
 	})
 	if err != nil {
 		return nil, err
-	}
-	for _, row := range rows {
-		t.AddRowf(row...)
 	}
 	return t, nil
 }

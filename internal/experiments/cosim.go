@@ -74,8 +74,7 @@ func cosimCaseNames() []string {
 func (r *Runner) ParallelCoSim() (*stats.Table, error) {
 	t := stats.NewTable("Two-core P-LATCH co-simulation (real LA32 programs, LBA service 3.38 cycles/entry)",
 		"program", "instructions", "logged % (filtered)", "overhead (filtered)", "overhead (baseline LBA)", "max queue")
-	rows := make([][]any, len(cosimCases))
-	err := r.runJobs("platch-cosim", cosimCaseNames(), func(i int, name string, js *JobStat) error {
+	err := r.runRows(t, "platch-cosim", cosimCaseNames(), func(i int, name string, js *JobStat) ([]any, error) {
 		c := cosimCases[i]
 		run := func(filtered bool) (cosim.ParallelStats, error) {
 			cfg := cosim.DefaultParallelConfig()
@@ -97,23 +96,19 @@ func (r *Runner) ParallelCoSim() (*stats.Table, error) {
 		}
 		filtered, err := run(true)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		baseline, err := run(false)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		js.Events = filtered.Instructions + baseline.Instructions
-		rows[i] = []any{c.name, filtered.Instructions,
+		return []any{c.name, filtered.Instructions,
 			100 * float64(filtered.Enqueued) / float64(filtered.Instructions),
-			filtered.Overhead(), baseline.Overhead(), filtered.MaxQueueDepth}
-		return nil
+			filtered.Overhead(), baseline.Overhead(), filtered.MaxQueueDepth}, nil
 	})
 	if err != nil {
 		return nil, err
-	}
-	for _, row := range rows {
-		t.AddRowf(row...)
 	}
 	return t, nil
 }
@@ -124,37 +119,32 @@ func (r *Runner) ParallelCoSim() (*stats.Table, error) {
 func (r *Runner) CoSim() (*stats.Table, error) {
 	t := stats.NewTable("End-to-end S-LATCH co-simulation (real LA32 programs, 5x software DIFT)",
 		"program", "instructions", "hw %", "sw %", "switches", "false traps", "overhead %", "continuous %")
-	rows := make([][]any, len(cosimCases))
-	err := r.runJobs("cosim", cosimCaseNames(), func(i int, name string, js *JobStat) error {
+	err := r.runRows(t, "cosim", cosimCaseNames(), func(i int, name string, js *JobStat) ([]any, error) {
 		c := cosimCases[i]
 		cfg := cosim.DefaultConfig()
 		cfg.Observer = r.passObserver("cosim")
 		sys, err := cosim.New(cfg, r.policy())
 		if err != nil {
-			return err
+			return nil, err
 		}
 		c.setup(sys.Machine.Env)
 		src, err := workload.ProgramSource(c.program)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if _, err := sys.Run(context.Background(), src, 1_000_000); err != nil {
-			return fmt.Errorf("cosim %s: %w", c.name, err)
+			return nil, fmt.Errorf("cosim %s: %w", c.name, err)
 		}
 		st := sys.Stats()
 		n := float64(st.Instructions)
 		js.Events = st.Instructions
-		rows[i] = []any{c.name, st.Instructions,
+		return []any{c.name, st.Instructions,
 			100 * float64(st.HWInstrs) / n, 100 * float64(st.SWInstrs) / n,
 			st.Switches, st.FalseTraps,
-			100 * st.Overhead(), 100 * (cfg.SWSlowdown - 1)}
-		return nil
+			100 * st.Overhead(), 100 * (cfg.SWSlowdown - 1)}, nil
 	})
 	if err != nil {
 		return nil, err
-	}
-	for _, row := range rows {
-		t.AddRowf(row...)
 	}
 	return t, nil
 }

@@ -290,28 +290,23 @@ func (r *Runner) pagesTable(s workload.Suite, title string) (*stats.Table, error
 	t := stats.NewTable(title+": distribution of taint at page granularity",
 		"benchmark", "pages accessed", "pages tainted", "tainted %", "paper %")
 	names := workload.BySuite(s)
-	rows := make([][]any, len(names))
-	err := r.runJobs("pages", names, func(i int, name string, js *JobStat) error {
+	err := r.runRows(t, "pages", names, func(i int, name string, js *JobStat) ([]any, error) {
 		p, err := r.jobProfile("pages", name)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		g, release, err := r.generator(p)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		defer release()
 		tainted := g.Shadow().EverTaintedPages()
-		rows[i] = []any{name, p.PagesAccessed, tainted,
+		return []any{name, p.PagesAccessed, tainted,
 			100 * float64(tainted) / float64(p.PagesAccessed),
-			100 * float64(p.PagesTainted) / float64(p.PagesAccessed)}
-		return nil
+			100 * float64(p.PagesTainted) / float64(p.PagesAccessed)}, nil
 	})
 	if err != nil {
 		return nil, err
-	}
-	for _, row := range rows {
-		t.AddRowf(row...)
 	}
 	return t, nil
 }
@@ -326,15 +321,14 @@ func (r *Runner) Figure6() (*stats.Table, error) {
 	t := stats.NewTable("Figure 6: taint detection multiplier vs. domain size (1.0 = byte-precise)",
 		"benchmark", "8B", "16B", "32B", "64B", "128B", "256B")
 	names := append(workload.BySuite(workload.SuiteSPEC), workload.BySuite(workload.SuiteNetwork)...)
-	rows := make([][]any, len(names))
-	err := r.runJobs("figure6", names, func(i int, name string, js *JobStat) error {
+	err := r.runRows(t, "figure6", names, func(i int, name string, js *JobStat) ([]any, error) {
 		p, err := r.jobProfile("figure6", name)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		g, release, err := r.generator(p)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		defer release()
 		sh := g.Shadow()
@@ -364,14 +358,10 @@ func (r *Runner) Figure6() (*stats.Table, error) {
 			}
 			row = append(row, float64(coarse[gi])/float64(precise))
 		}
-		rows[i] = row
-		return nil
+		return row, nil
 	})
 	if err != nil {
 		return nil, err
-	}
-	for _, row := range rows {
-		t.AddRowf(row...)
 	}
 	return t, nil
 }

@@ -125,3 +125,22 @@ func (r *Runner) runJobs(pass string, names []string, job func(i int, name strin
 		return nil
 	})
 }
+
+// runRows is runJobs for passes that yield one table row per job: it adds
+// the rows to t in job order once every job has succeeded, so the table is
+// the same for any worker count.
+func (r *Runner) runRows(t *stats.Table, pass string, names []string, job func(i int, name string, js *JobStat) ([]any, error)) error {
+	rows := make([][]any, len(names))
+	err := r.runJobs(pass, names, func(i int, name string, js *JobStat) error {
+		row, err := job(i, name, js)
+		rows[i] = row
+		return err
+	})
+	if err != nil {
+		return err
+	}
+	for _, row := range rows {
+		t.AddRowf(row...)
+	}
+	return nil
+}

@@ -3,12 +3,10 @@ package experiments
 import (
 	"context"
 
-	"latch/internal/dift"
+	"latch/internal/engine"
 	"latch/internal/isa"
 	"latch/internal/policy"
-	"latch/internal/shadow"
 	"latch/internal/stats"
-	"latch/internal/vm"
 	"latch/internal/workload"
 )
 
@@ -21,29 +19,24 @@ import (
 func (r *Runner) PIFT() (*stats.Table, error) {
 	t := stats.NewTable("Classical DTA vs PIFT-style propagation (tainted bytes at exit)",
 		"program", "classical", "pift", "under-tainted %")
-	rows := make([][]any, len(cosimCases))
-	err := r.runJobs("pift", cosimCaseNames(), func(i int, name string, js *JobStat) error {
+	err := r.runRows(t, "pift", cosimCaseNames(), func(i int, name string, js *JobStat) ([]any, error) {
 		c := cosimCases[i]
 		classical, err := runWithMode(c, r.policy(), policy.PropagationClassical)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		pift, err := runWithMode(c, r.policy(), policy.PropagationPIFT)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		var under float64
 		if classical > 0 {
 			under = 100 * float64(classical-pift) / float64(classical)
 		}
-		rows[i] = []any{c.name, classical, pift, under}
-		return nil
+		return []any{c.name, classical, pift, under}, nil
 	})
 	if err != nil {
 		return nil, err
-	}
-	for _, row := range rows {
-		t.AddRowf(row...)
 	}
 	return t, nil
 }
@@ -52,11 +45,11 @@ func (r *Runner) PIFT() (*stats.Table, error) {
 // returns the tainted byte count at exit.
 func runWithMode(c cosimCase, pol policy.Policy, mode policy.Propagation) (uint64, error) {
 	pol.Propagation = mode
-	sh := shadow.MustNew(shadow.DefaultDomainSize)
-	eng := dift.NewEngine(sh, pol)
-	m := vm.New()
-	m.SetTracker(eng)
-	c.setup(m.Env)
+	ref, err := engine.NewReference(pol)
+	if err != nil {
+		return 0, err
+	}
+	c.setup(ref.Machine.Env)
 	src, err := workload.ProgramSource(c.program)
 	if err != nil {
 		return 0, err
@@ -65,9 +58,8 @@ func runWithMode(c cosimCase, pol policy.Policy, mode policy.Propagation) (uint6
 	if err != nil {
 		return 0, err
 	}
-	m.Load(prog)
-	if _, err := m.Run(context.Background(), 1_000_000); err != nil {
+	if _, err := ref.RunProgram(context.Background(), prog, 1_000_000); err != nil {
 		return 0, err
 	}
-	return sh.TaintedBytes(), nil
+	return ref.Shadow.TaintedBytes(), nil
 }
