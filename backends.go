@@ -94,12 +94,8 @@ func (r RunRequest) Validate() error {
 		return fmt.Errorf("latch: RunRequest.Shards must be non-negative, got %d", r.Shards)
 	}
 	if r.Shards > 0 {
-		sch, err := engine.Lookup(r.Backend)
-		if err != nil {
-			return err
-		}
-		if _, ok := sch.New().(engine.Sharded); !ok {
-			return fmt.Errorf("latch: backend %s does not support shard configuration", r.Backend)
+		if _, err := engine.New(r.Backend, r.Shards); err != nil {
+			return fmt.Errorf("latch: %w", err)
 		}
 	}
 	if r.Policy != nil {
@@ -125,19 +121,9 @@ func Run(ctx context.Context, req RunRequest) (BackendResult, error) {
 	if req.Seed != 0 {
 		p.Seed = req.Seed
 	}
-	sch, err := engine.Lookup(req.Backend)
+	b, err := engine.New(req.Backend, req.Shards)
 	if err != nil {
 		return nil, err
-	}
-	b := sch.New()
-	if req.Shards > 0 {
-		sb, ok := b.(engine.Sharded)
-		if !ok {
-			return nil, fmt.Errorf("backend %s does not support shard configuration", req.Backend)
-		}
-		if err := sb.SetShards(req.Shards); err != nil {
-			return nil, err
-		}
 	}
 	events := req.Events
 	if events == 0 {

@@ -10,7 +10,7 @@ package latch_test
 //
 // For paper-fidelity numbers use the CLI, which defaults to longer streams:
 //
-//	go run ./cmd/latch-experiments
+//	go run ./cmd/latch-paper tables
 
 import (
 	"flag"

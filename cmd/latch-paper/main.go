@@ -1,16 +1,33 @@
-// Command latch-paper is the reproducible experiment-grid pipeline: it
-// drives the full measurement toolchain — the latch.Run facade, the
-// registry-driven backends, and the internal/experiments catalog — through
-// a declarative grid of cells with repeats, and aggregates the results into
-// paper-grade tables with dispersion statistics.
+// Command latch-paper is the paper pipeline. It regenerates the paper's
+// tables from the internal/experiments catalog, and it runs declarative
+// grids of cells with repeats — through the latch.Run facade, the
+// registry-driven backends and the same catalog — aggregating the results
+// into paper-grade tables with dispersion statistics.
 //
 // Usage:
 //
+//	latch-paper tables                                # every catalog table
+//	latch-paper tables -exp table6,figure16 -format markdown
+//	latch-paper tables -backend slatch,hlatch         # registry-driven summaries
+//	latch-paper tables -backend cplatch -shards 8     # concurrent P-LATCH, 8 monitor shards
+//	latch-paper tables -list
+//	latch-paper tables -workers 1 -stats              # serial reference + job table
+//	latch-paper tables -metrics out.json              # dump the telemetry registry
+//	latch-paper tables -exp sampling -sample 0.25 -sample-seed 7
 //	latch-paper run -grid experiments.json            # run the grid
 //	latch-paper run -grid experiments.json -analyze   # ...and analyze it
 //	latch-paper analyze paper_runs/20260808T120000Z   # any past run dir
 //	latch-paper analyze -history BENCH_history.json <dir>
 //	latch-paper smoke                                 # tiny self-checking grid
+//
+// `tables` fans out one job per (experiment, benchmark) pair on a worker
+// pool sized by -workers (default: one worker per CPU). Every job derives
+// its RNG seed from its identity, so the output is bit-identical for every
+// worker count — only the elapsed time changes. -stats appends a per-pass
+// job summary so the achieved parallelism is observable; with -format json
+// it is emitted as one more JSON object on stdout rather than loose text.
+// -metrics writes the per-pass telemetry counters (see internal/telemetry)
+// accumulated by every simulation pass the selected experiments ran.
 //
 // A run writes a timestamped tree under -out-root (default paper_runs/):
 // deterministic per-cell CSVs under csv/, the grid copy and a provenance
@@ -42,6 +59,8 @@ func main() {
 	}
 	var err error
 	switch os.Args[1] {
+	case "tables":
+		os.Exit(cmdTables(os.Args[2:], os.Stdout, os.Stderr))
 	case "run":
 		err = cmdRun(os.Args[2:])
 	case "analyze":
@@ -60,6 +79,7 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
+  latch-paper tables [-exp ids] [-backend names] [-format text|json|markdown] [-list] ...
   latch-paper run -grid <file> [-out-root dir] [-repeats n] [-analyze] [-history file]
   latch-paper analyze [-history file] <run-dir>
   latch-paper smoke [-keep]`)

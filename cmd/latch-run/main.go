@@ -42,6 +42,7 @@ import (
 	"latch"
 	"latch/internal/cosim"
 	"latch/internal/isa"
+	"latch/internal/policy"
 	"latch/internal/trace"
 	"latch/internal/workload"
 )
@@ -130,10 +131,11 @@ func run() int {
 		}
 		return 0
 	}
-	pol, polGiven, err := loadPolicy(*polPath, *sampleFrac, *sampleSeed, *leak)
+	pol, polGiven, err := policy.FromFlags(*polPath, *sampleFrac, *sampleSeed)
 	if err != nil {
 		return fail(err)
 	}
+	pol.CheckLeak = pol.CheckLeak || *leak
 
 	if *backend != "" {
 		var reqPol *latch.Policy
@@ -322,7 +324,7 @@ func runCoSim(ctx context.Context, src string, pol latch.Policy, input []byte, r
 }
 
 // printTelemetry dumps the registry as indented JSON, matching the shape
-// latch-experiments -metrics writes.
+// latch-paper tables -metrics writes.
 func printTelemetry(m *latch.Metrics) {
 	data, err := json.MarshalIndent(m.Snapshot(), "", "  ")
 	if err != nil {
@@ -352,38 +354,6 @@ func assembleOrLoad(src string) (*isa.Program, error) {
 		return isa.ReadObject(strings.NewReader(src))
 	}
 	return isa.Assemble(src)
-}
-
-// loadPolicy builds the run's effective taint policy: the default, with the
-// -policy JSON file overlaid, the -check-leak/-sample/-sample-seed flags
-// applied on top, and the result validated. given reports whether any policy
-// flag was set at all, so callers that distinguish "no policy" from "the
-// default policy" (RunRequest.Policy) can preserve the default pipeline.
-func loadPolicy(path string, sample float64, seed uint64, leak bool) (latch.Policy, bool, error) {
-	pol := latch.DefaultPolicy()
-	given := path != "" || sample >= 0 || seed != 0
-	if path != "" {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return pol, given, err
-		}
-		if err := json.Unmarshal(data, &pol); err != nil {
-			return pol, given, fmt.Errorf("bad -policy file: %w", err)
-		}
-	}
-	if leak {
-		pol.CheckLeak = true
-	}
-	if sample >= 0 {
-		pol.Sampling.SampleFraction = sample
-	}
-	if seed != 0 {
-		pol.Sampling.SampleSeed = seed
-	}
-	if err := pol.Validate(); err != nil {
-		return pol, given, err
-	}
-	return pol, given, nil
 }
 
 // flagSet is the subset of latch-run's flags whose combinations can
@@ -440,8 +410,8 @@ func checkFlagConflicts(f flagSet) error {
 	if f.NoDift && (f.Policy != "" || f.Sample >= 0 || f.Seed != 0) {
 		return fmt.Errorf("-policy/-sample configure taint tracking and cannot be combined with -no-dift")
 	}
-	if f.Seed != 0 && f.Sample < 0 && f.Policy == "" {
-		return fmt.Errorf("-sample-seed needs a sampler: give -sample or a -policy file with a sampling spec")
+	if err := policy.CheckFlags(f.Policy, f.Sample, f.Seed); err != nil {
+		return err
 	}
 	if f.Shards != 0 && f.Backend == "" {
 		return fmt.Errorf("-shards configures a backend's monitor and requires -backend")

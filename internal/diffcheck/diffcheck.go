@@ -274,19 +274,9 @@ func RunBackendShards(name string, c Case, shards int) (out Outcome, oracleFail 
 	if err != nil {
 		return Outcome{}, "", err
 	}
-	sch, err := engine.Lookup(name)
+	b, err := engine.New(name, shards)
 	if err != nil {
 		return Outcome{}, "", err
-	}
-	b := sch.New()
-	if shards > 0 {
-		sb, ok := b.(engine.Sharded)
-		if !ok {
-			return Outcome{}, "", fmt.Errorf("backend %s does not support shard configuration", name)
-		}
-		if err := sb.SetShards(shards); err != nil {
-			return Outcome{}, "", err
-		}
 	}
 	pol := CasePolicy(c.Seed)
 	mon, err := cosim.NewMonitorBackend(b, pol, nil)
@@ -461,10 +451,12 @@ func CheckCase(c Case, backends []string) *Failure {
 	for _, name := range backends {
 		name, label := name, name
 		shards := 0
-		if isSharded(name) {
-			// Sharded backends run at a seed-derived shard count, so the
-			// corpus and every fresh fuzz batch sweep the 1..8 axis while
-			// each individual seed stays byte-for-byte replayable.
+		// Sharded backends run at a seed-derived shard count, so the corpus
+		// and every fresh fuzz batch sweep the 1..8 axis while each
+		// individual seed stays byte-for-byte replayable. Probing shard
+		// support builds a backend, which is cheap: goroutines and rings
+		// exist only after Init.
+		if _, err := engine.New(name, 1); err == nil {
 			shards = ShardsFor(c.Seed)
 			label = fmt.Sprintf("%s(shards=%d)", name, shards)
 		}
@@ -486,18 +478,6 @@ func CheckCase(c Case, backends []string) *Failure {
 // for a given seed: seeds rotate through 1..8. Deterministic per seed, so
 // minimization and corpus replay reproduce the exact failing geometry.
 func ShardsFor(seed int64) int { return 1 + int(uint64(seed)%8) }
-
-// isSharded reports whether the named registered backend supports shard
-// configuration. Constructing a backend is cheap — goroutines and rings
-// exist only after Init.
-func isSharded(name string) bool {
-	sch, err := engine.Lookup(name)
-	if err != nil {
-		return false
-	}
-	_, ok := sch.New().(engine.Sharded)
-	return ok
-}
 
 // runProtected invokes one run, converting a panic into a "panic" failure,
 // an infrastructure error into an "error" failure, and an oracle complaint

@@ -33,6 +33,11 @@ func (r *Runner) BackendPass(name string, s workload.Suite) ([]engine.Result, er
 	if err != nil {
 		return nil, err
 	}
+	// Backends without shard support ignore Options.Shards.
+	shards := r.opts.Shards
+	if _, ok := sch.New().(engine.Sharded); !ok {
+		shards = 0
+	}
 	opts := engine.RunOptions{Events: r.opts.Events, Observer: r.passObserver(name), Policy: r.opts.Policy}
 	names := workload.BySuite(s)
 	out := make([]engine.Result, len(names))
@@ -41,13 +46,9 @@ func (r *Runner) BackendPass(name string, s workload.Suite) ([]engine.Result, er
 		if err != nil {
 			return err
 		}
-		b := sch.New()
-		if r.opts.Shards > 0 {
-			if sb, ok := b.(engine.Sharded); ok {
-				if err := sb.SetShards(r.opts.Shards); err != nil {
-					return fmt.Errorf("%s %s: %w", name, wname, err)
-				}
-			}
+		b, err := engine.New(name, shards)
+		if err != nil {
+			return fmt.Errorf("%s %s: %w", name, wname, err)
 		}
 		res, err := r.runProfile(b, p, opts)
 		if err != nil {

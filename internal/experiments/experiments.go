@@ -551,11 +551,11 @@ var Catalog = []Experiment{
 	{"table7", "Table 7: H-LATCH caches (network)", (*Runner).Table7},
 	{"figure16", "Figure 16: resolution levels", (*Runner).Figure16},
 	{"complexity", "§6.4: FPGA complexity", (*Runner).Complexity},
-	{"ablation-domain", "Ablation: taint-domain size sweep", (*Runner).AblationDomainSize},
-	{"ablation-timeout", "Ablation: S-LATCH timeout sweep", (*Runner).AblationTimeout},
-	{"ablation-ctc", "Ablation: CTC size sweep", (*Runner).AblationCTCSize},
+	{"ablation-domain", "Ablation: taint-domain size sweep", ablationDomain.table},
+	{"ablation-timeout", "Ablation: S-LATCH timeout sweep", ablationTimeout.table},
+	{"ablation-ctc", "Ablation: CTC size sweep", ablationCTC.table},
 	{"ablation-clear", "Ablation: clear-bit machinery on/off", (*Runner).AblationClearBits},
-	{"ablation-queue", "Ablation: P-LATCH queue depth sweep", (*Runner).AblationQueueDepth},
+	{"ablation-queue", "Ablation: P-LATCH queue depth sweep", ablationQueue.table},
 	{"cosim", "End-to-end S-LATCH co-simulation", (*Runner).CoSim},
 	{"conventional", "Intro claim: 4KiB conventional vs 320B H-LATCH stack", (*Runner).Conventional},
 	{"platch-cosim", "Two-core P-LATCH co-simulation", (*Runner).ParallelCoSim},

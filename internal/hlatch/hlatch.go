@@ -15,12 +15,10 @@ package hlatch
 
 import (
 	"context"
-	"fmt"
 
 	"latch/internal/cache"
 	"latch/internal/engine"
 	"latch/internal/latch"
-	"latch/internal/pool"
 	"latch/internal/telemetry"
 	"latch/internal/trace"
 	"latch/internal/workload"
@@ -80,13 +78,9 @@ type Config struct {
 	Latch  latch.Config
 	Events uint64 // stream length in instructions
 
-	// Workers bounds RunSuite's worker pool; <= 0 selects one worker per
-	// CPU. Results do not depend on it.
-	Workers int
-
 	// Observer, when non-nil, receives the module's check-path telemetry
-	// (coarse-check resolves, cache misses, CTC evictions). It must be safe
-	// for concurrent use when RunSuite fans benchmarks out over workers
+	// (coarse-check resolves, cache misses, CTC evictions). One observer
+	// shared by concurrent runs must be safe for concurrent use
 	// (telemetry.Metrics is). Observers never affect results.
 	Observer telemetry.Observer
 }
@@ -110,7 +104,7 @@ type backend struct {
 
 // NewBackend returns a single-run H-LATCH backend with configuration cfg,
 // for callers that drive engine.RunProfile themselves (on a recycled
-// Session, say). Run uses it too. cfg.Events, cfg.Workers and cfg.Observer
+// Session, say). Run uses it too. cfg.Events and cfg.Observer
 // do not reach the backend: the run's RunOptions carry those.
 func NewBackend(cfg Config) engine.Backend { return &backend{cfg: cfg} }
 
@@ -165,23 +159,4 @@ func Run(p workload.Profile, cfg Config) (Result, error) {
 		return Result{}, err
 	}
 	return res.(Result), nil
-}
-
-// RunSuite simulates every benchmark of a suite, in registry order. The
-// benchmarks are independent (each stream has its own deterministic
-// generator), so they run concurrently on a pool of cfg.Workers goroutines;
-// results come back in suite order regardless of scheduling.
-func RunSuite(s workload.Suite, cfg Config) ([]Result, error) {
-	names := workload.BySuite(s)
-	return pool.Map(cfg.Workers, len(names), func(i int) (Result, error) {
-		p, err := workload.Get(names[i])
-		if err != nil {
-			return Result{}, err
-		}
-		r, err := Run(p, cfg)
-		if err != nil {
-			return Result{}, fmt.Errorf("hlatch %s: %w", names[i], err)
-		}
-		return r, nil
-	})
 }

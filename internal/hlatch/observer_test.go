@@ -3,21 +3,30 @@ package hlatch
 import (
 	"testing"
 
+	"latch/internal/pool"
 	"latch/internal/telemetry"
 	"latch/internal/workload"
 )
 
-func shortObsCfg(workers int, obs telemetry.Observer) Config {
+func shortObsCfg(obs telemetry.Observer) Config {
 	cfg := DefaultConfig()
 	cfg.Events = 200_000
-	cfg.Workers = workers
 	cfg.Observer = obs
 	return cfg
 }
 
+// runSPEC runs every SPEC benchmark concurrently on four workers, results
+// in suite order.
+func runSPEC(cfg Config) ([]Result, error) {
+	names := workload.BySuite(workload.SuiteSPEC)
+	return pool.Map(4, len(names), func(i int) (Result, error) {
+		return Run(workload.MustGet(names[i]), cfg)
+	})
+}
+
 func TestObserverMirrorsResult(t *testing.T) {
 	mx := telemetry.NewMetrics()
-	r, err := Run(workload.MustGet("gcc"), shortObsCfg(1, mx))
+	r, err := Run(workload.MustGet("gcc"), shortObsCfg(mx))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,18 +46,18 @@ func TestObserverMirrorsResult(t *testing.T) {
 }
 
 // TestSharedObserverAcrossSuite attaches ONE Metrics registry to every
-// concurrently running module of a parallel suite run — the observability
+// concurrently running module of a suite fanned out over a worker pool — the observability
 // layer's concurrency contract (exercised under -race by `make race`). The
 // aggregated counters must equal the sum of the per-benchmark results, and
 // the observed run must produce results identical to an unobserved one.
 func TestSharedObserverAcrossSuite(t *testing.T) {
-	plain, err := RunSuite(workload.SuiteSPEC, shortObsCfg(4, nil))
+	plain, err := runSPEC(shortObsCfg(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	mx := telemetry.NewMetrics()
-	observed, err := RunSuite(workload.SuiteSPEC, shortObsCfg(4, mx))
+	observed, err := runSPEC(shortObsCfg(mx))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,22 +31,13 @@ const (
 	// is one variant.
 	KindBackend = "backend"
 	// KindGeometry sweeps one scheme-specific configuration axis (cache
-	// geometry, timeout, queue depth) through the scheme's own Run.
+	// geometry, timeout, queue depth) of experiments.Axes.
 	KindGeometry = "geometry"
 	// KindExperiment regenerates catalog experiments through the
 	// internal/experiments runner, once per repeat under a distinct seed
 	// salt, and flattens the rendered tables into numeric samples.
 	KindExperiment = "experiment"
 )
-
-// geometryAxes maps each sweepable configuration axis to the scheme whose
-// config carries it.
-var geometryAxes = map[string]string{
-	"ctc_entries": "hlatch",
-	"domain_size": "hlatch",
-	"timeout":     "slatch",
-	"queue_depth": "platch",
-}
 
 // Cell is one experiment of the grid. Which fields apply depends on Kind;
 // Validate rejects contradictions up front so a bad grid fails before any
@@ -186,15 +177,16 @@ func (c Cell) validate() error {
 			}
 		}
 	case KindGeometry:
-		if _, ok := geometryAxes[c.Axis]; !ok {
-			return fmt.Errorf("unknown geometry axis %q (known: ctc_entries, domain_size, timeout, queue_depth)", c.Axis)
+		ax, err := experiments.LookupAxis(c.Axis)
+		if err != nil {
+			return err
 		}
 		if len(c.Values) == 0 || len(c.Workloads) == 0 {
 			return fmt.Errorf("geometry cells need values and workloads")
 		}
 		for _, v := range c.Values {
-			if v < 1 {
-				return fmt.Errorf("axis values must be positive, got %d", v)
+			if _, err := ax.Backend(v); err != nil {
+				return err
 			}
 		}
 	case KindExperiment:

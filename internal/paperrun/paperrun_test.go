@@ -10,8 +10,8 @@ import (
 	"testing"
 )
 
-// testGrid is the miniature grid the tests run: every cell kind, short
-// streams, two repeats.
+// testGrid is the miniature grid the tests run: every cell kind and every
+// geometry axis, short streams, two repeats.
 const testGrid = `{
   "name": "paperrun-test",
   "repeats": 2,
@@ -46,6 +46,30 @@ const testGrid = `{
       "values": [4, 16],
       "workloads": ["gcc"],
       "headline": "combined miss %"
+    },
+    {
+      "id": "domain-geometry",
+      "kind": "geometry",
+      "axis": "domain_size",
+      "values": [16],
+      "workloads": ["gcc"],
+      "events": 5000
+    },
+    {
+      "id": "timeout-geometry",
+      "kind": "geometry",
+      "axis": "timeout",
+      "values": [100],
+      "workloads": ["gcc"],
+      "events": 5000
+    },
+    {
+      "id": "queue-geometry",
+      "kind": "geometry",
+      "axis": "queue_depth",
+      "values": [64],
+      "workloads": ["apache"],
+      "events": 5000
     },
     {
       "id": "taint-tables",
@@ -146,8 +170,8 @@ func TestAnalyzeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a.Cells) != 5 {
-		t.Fatalf("analyzed %d cells, want 5", len(a.Cells))
+	if len(a.Cells) != 8 {
+		t.Fatalf("analyzed %d cells, want 8", len(a.Cells))
 	}
 	for _, ca := range a.Cells {
 		if len(ca.Groups) == 0 {
@@ -248,6 +272,7 @@ func TestLoadGridValidation(t *testing.T) {
 		{"bad fraction", `{"name":"g","repeats":1,"cells":[{"id":"x","kind":"backend","backends":["slatch"],"workloads":["gcc"],"sample_fractions":[1.5]}]}`, "outside [0, 1]"},
 		{"shards on unsharded backend", `{"name":"g","repeats":1,"cells":[{"id":"x","kind":"backend","backends":["slatch"],"workloads":["gcc"],"shards":[2]}]}`, "does not support shard"},
 		{"bad axis", `{"name":"g","repeats":1,"cells":[{"id":"x","kind":"geometry","axis":"nope","values":[1],"workloads":["gcc"]}]}`, "unknown geometry axis"},
+		{"domain size the scheme rejects", `{"name":"g","repeats":1,"cells":[{"id":"x","kind":"geometry","axis":"domain_size","values":[3],"workloads":["gcc"]}]}`, "invalid domain size 3"},
 		{"bad experiment", `{"name":"g","repeats":1,"cells":[{"id":"x","kind":"experiment","experiments":["nope"]}]}`, "unknown id"},
 	}
 	for _, tc := range cases {

@@ -15,10 +15,9 @@ import (
 	"time"
 
 	"latch"
+	"latch/internal/engine"
 	"latch/internal/experiments"
-	"latch/internal/hlatch"
 	"latch/internal/platch"
-	"latch/internal/slatch"
 	"latch/internal/workload"
 )
 
@@ -268,25 +267,28 @@ func resultSamples(cell, variant string, rep int, res latch.BackendResult) []Sam
 	return out
 }
 
-// runGeometryCell sweeps one scheme-specific configuration axis through
-// the scheme's own Run — the same pattern the ablation experiments use,
-// but repeat-seeded and exported as samples.
+// runGeometryCell sweeps one axis of experiments.Axes — the table the
+// ablation experiments use — repeat-seeded and exported as samples.
 func runGeometryCell(ctx context.Context, g Grid, c Cell) ([]Sample, error) {
-	scheme := geometryAxes[c.Axis]
+	ax, err := experiments.LookupAxis(c.Axis)
+	if err != nil {
+		return nil, err
+	}
 	var out []Sample
 	for _, v := range c.Values {
-		variant := fmt.Sprintf("%s/%s=%d", scheme, c.Axis, v)
+		variant := fmt.Sprintf("%s/%s=%d", ax.Scheme, c.Axis, v)
 		for _, wl := range c.Workloads {
 			for rep := 0; rep < g.Repeats; rep++ {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
 				p, err := workload.Get(wl)
 				if err != nil {
 					return nil, err
 				}
 				p.Seed = repeatSeed(g, c.ID, variant, wl, rep)
-				res, err := runGeometry(scheme, c.Axis, v, p, g.events(c))
+				b, err := ax.Backend(v)
+				if err != nil {
+					return nil, err
+				}
+				res, err := engine.RunProfile(ctx, b, p, engine.RunOptions{Events: g.events(c)})
 				if err != nil {
 					return nil, fmt.Errorf("variant %s workload %s repeat %d: %w", variant, wl, rep, err)
 				}
@@ -303,32 +305,6 @@ func runGeometryCell(ctx context.Context, g Grid, c Cell) ([]Sample, error) {
 		}
 	}
 	return out, nil
-}
-
-func runGeometry(scheme, axis string, v int, p workload.Profile, events uint64) (latch.BackendResult, error) {
-	switch scheme {
-	case "hlatch":
-		cfg := hlatch.DefaultConfig()
-		cfg.Events = events
-		switch axis {
-		case "ctc_entries":
-			cfg.Latch.CTCEntries = v
-		case "domain_size":
-			cfg.Latch.DomainSize = uint32(v)
-		}
-		return hlatch.Run(p, cfg)
-	case "slatch":
-		cfg := slatch.DefaultConfig()
-		cfg.Events = events
-		cfg.Costs.TimeoutInstrs = uint64(v)
-		return slatch.Run(p, cfg)
-	case "platch":
-		cfg := platch.DefaultConfig()
-		cfg.Events = events
-		cfg.QueueDepth = v
-		return platch.Run(p, cfg)
-	}
-	return nil, fmt.Errorf("unknown geometry scheme %q", scheme)
 }
 
 // runExperimentCell regenerates catalog experiments once per repeat, each

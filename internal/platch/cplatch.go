@@ -570,10 +570,11 @@ func putU32(b []byte, v uint32) {
 	b[0], b[1], b[2], b[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
 }
 
-// RunConcurrent evaluates one benchmark under the concurrent backend.
-func RunConcurrent(p workload.Profile, cfg ConcurrentConfig, obs telemetry.Observer) (ConcurrentResult, error) {
+// RunConcurrent evaluates one benchmark under the concurrent backend,
+// reporting telemetry to cfg.Observer when set.
+func RunConcurrent(p workload.Profile, cfg ConcurrentConfig) (ConcurrentResult, error) {
 	res, err := engine.RunProfile(context.Background(), NewConcurrent(cfg), p,
-		engine.RunOptions{Events: cfg.Events, Observer: obs})
+		engine.RunOptions{Events: cfg.Events, Observer: cfg.Observer})
 	if err != nil {
 		return ConcurrentResult{}, err
 	}

@@ -111,7 +111,7 @@ func BenchmarkCPlatchApache(b *testing.B) {
 			cfg := DefaultConcurrentConfig()
 			cfg.Events = uint64(b.N)
 			cfg.Shards = shards
-			if _, err := RunConcurrent(p, cfg, nil); err != nil {
+			if _, err := RunConcurrent(p, cfg); err != nil {
 				b.Fatal(err)
 			}
 		})
@@ -172,7 +172,7 @@ func TestWriteCPlatchBench(t *testing.T) {
 		var last ConcurrentResult
 		res := testing.Benchmark(func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				r, err := RunConcurrent(p, cfg, nil)
+				r, err := RunConcurrent(p, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"latch/internal/engine"
+	"latch/internal/telemetry"
 	"latch/internal/workload"
 )
 
@@ -34,7 +35,7 @@ func TestConcurrentMatchesAnalyticModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, shards := range shardSweep {
-		got, err := RunConcurrent(p, concCfg(shards), nil)
+		got, err := RunConcurrent(p, concCfg(shards))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,7 +76,7 @@ func TestConcurrentQueueOracleAgreement(t *testing.T) {
 		t.Fatal(err)
 	}
 	const tol = 1e-9
-	serial, err := RunConcurrent(p, concCfg(1), nil)
+	serial, err := RunConcurrent(p, concCfg(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +89,7 @@ func TestConcurrentQueueOracleAgreement(t *testing.T) {
 			serial.QueueOverheadOptimized, oracle.QueueOverheadOptimized, d)
 	}
 	for _, shards := range shardSweep[1:] {
-		got, err := RunConcurrent(p, concCfg(shards), nil)
+		got, err := RunConcurrent(p, concCfg(shards))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,7 +188,7 @@ func TestConcurrentDeterminismPin(t *testing.T) {
 // tables are disjoint (their domain counts sum to the merged count).
 func TestConcurrentShardPartition(t *testing.T) {
 	cfg := concCfg(4)
-	res, err := RunConcurrent(workload.MustGet("apache"), cfg, nil)
+	res, err := RunConcurrent(workload.MustGet("apache"), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +277,7 @@ func TestConcurrentFinishIdempotent(t *testing.T) {
 func TestConcurrentZeroEvents(t *testing.T) {
 	cfg := concCfg(4)
 	cfg.Events = 0
-	res, err := RunConcurrent(workload.MustGet("gcc"), cfg, nil)
+	res, err := RunConcurrent(workload.MustGet("gcc"), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,12 +294,37 @@ func TestConcurrentZeroEvents(t *testing.T) {
 func TestConcurrentConfigValidation(t *testing.T) {
 	cfg := DefaultConcurrentConfig()
 	cfg.Shards = 0
-	if _, err := RunConcurrent(workload.MustGet("gcc"), cfg, nil); err == nil {
+	if _, err := RunConcurrent(workload.MustGet("gcc"), cfg); err == nil {
 		t.Fatal("zero shards accepted")
 	}
 	cfg = DefaultConcurrentConfig()
 	cfg.RingCapacity = 3
-	if _, err := RunConcurrent(workload.MustGet("gcc"), cfg, nil); err == nil {
+	if _, err := RunConcurrent(workload.MustGet("gcc"), cfg); err == nil {
 		t.Fatal("non-power-of-two ring accepted")
+	}
+}
+
+// TestRunConcurrentObserver: RunConcurrent reports to the observer set on
+// its config, and observing the run leaves every deterministic result field
+// unchanged (the ring statistics depend on scheduling and are excluded).
+func TestRunConcurrentObserver(t *testing.T) {
+	p := workload.MustGet("apache")
+	plain, err := RunConcurrent(p, concCfg(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mx := telemetry.NewMetrics()
+	cfg := concCfg(2)
+	cfg.Observer = mx
+	observed, err := RunConcurrent(p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := mx.Snapshot(); s.CoarseChecks == 0 {
+		t.Fatalf("observer on cfg.Observer got no telemetry: %+v", s)
+	}
+	plain.Ring, observed.Ring = RingStats{}, RingStats{}
+	if !reflect.DeepEqual(plain, observed) {
+		t.Fatal("observer changed results")
 	}
 }

@@ -27,7 +27,11 @@
 //     reproducible.
 package policy
 
-import "fmt"
+import (
+	"encoding/json"
+	"fmt"
+	"os"
+)
 
 // Propagation selects the taint-propagation rule set.
 type Propagation string
@@ -166,4 +170,44 @@ func (p Policy) Validate() error {
 // Sampler builds the policy's source-event sampler.
 func (p Policy) Sampler() Sampler {
 	return NewSampler(p.Sampling)
+}
+
+// FromFlags builds the effective policy of the CLIs' -policy, -sample and
+// -sample-seed flags: the default policy with the JSON file at path
+// overlaid, then sample (when >= 0) as the sampling fraction and seed (when
+// non-zero) as the sampler seed, validated. An unset flag is the empty
+// path, a negative sample or a zero seed; given reports whether any of the
+// three was set, so callers that tell "no policy" from "the default policy"
+// apart can keep the default pipeline.
+func FromFlags(path string, sample float64, seed uint64) (pol Policy, given bool, err error) {
+	pol, given = Default(), path != "" || sample >= 0 || seed != 0
+	if err := CheckFlags(path, sample, seed); err != nil {
+		return pol, given, err
+	}
+	if path != "" {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return pol, given, err
+		}
+		if err := json.Unmarshal(data, &pol); err != nil {
+			return pol, given, fmt.Errorf("bad -policy file: %w", err)
+		}
+	}
+	if sample >= 0 {
+		pol.Sampling.SampleFraction = sample
+	}
+	if seed != 0 {
+		pol.Sampling.SampleSeed = seed
+	}
+	return pol, given, pol.Validate()
+}
+
+// CheckFlags rejects the flag combination FromFlags cannot honour without
+// reading anything: a -sample-seed with neither -sample nor a -policy file
+// to give it a sampler.
+func CheckFlags(path string, sample float64, seed uint64) error {
+	if seed != 0 && sample < 0 && path == "" {
+		return fmt.Errorf("-sample-seed needs a sampler: give -sample or a -policy file with a sampling spec")
+	}
+	return nil
 }

@@ -3,6 +3,9 @@ package policy
 import (
 	"encoding/json"
 	"math"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -228,5 +231,44 @@ func TestPolicySamplerAccessor(t *testing.T) {
 	p.Sampling = Sampling{SampleFraction: 0.5, SampleSeed: 9}
 	if p.Sampler() != NewSampler(p.Sampling) {
 		t.Fatal("Policy.Sampler() disagrees with NewSampler")
+	}
+}
+
+func TestFromFlags(t *testing.T) {
+	pol, given, err := FromFlags("", -1, 0)
+	if err != nil || given || pol != Default() {
+		t.Fatalf("no flags: %+v given=%v err=%v, want the default, not given", pol, given, err)
+	}
+	pol, given, err = FromFlags("", 0.25, 7)
+	if err != nil || !given || pol.Sampling.SampleFraction != 0.25 || pol.Sampling.SampleSeed != 7 {
+		t.Fatalf("-sample 0.25 -sample-seed 7: %+v given=%v err=%v", pol, given, err)
+	}
+	if _, _, err := FromFlags("", -1, 7); err == nil || !strings.Contains(err.Error(), "needs a sampler") {
+		t.Fatalf("-sample-seed alone: err %v, want a needs-a-sampler error", err)
+	}
+	if _, _, err := FromFlags("", 1.5, 0); err == nil {
+		t.Fatal("-sample 1.5 accepted")
+	}
+
+	dir := t.TempDir()
+	file := filepath.Join(dir, "pol.json")
+	if err := os.WriteFile(file, []byte(`{"check_leak":true,"sampling":{"sample_fraction":0.5,"sample_seed":3}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// The file overlays the default; -sample-seed overrides the file's seed.
+	pol, given, err = FromFlags(file, -1, 9)
+	if err != nil || !given || !pol.CheckLeak || !pol.CheckControlFlow ||
+		pol.Sampling.SampleFraction != 0.5 || pol.Sampling.SampleSeed != 9 {
+		t.Fatalf("policy file: %+v given=%v err=%v", pol, given, err)
+	}
+	if _, _, err := FromFlags(filepath.Join(dir, "missing.json"), -1, 0); err == nil {
+		t.Fatal("missing policy file accepted")
+	}
+	bad := filepath.Join(dir, "bad.json")
+	if err := os.WriteFile(bad, []byte(`{`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := FromFlags(bad, -1, 0); err == nil || !strings.Contains(err.Error(), "bad -policy file") {
+		t.Fatalf("malformed policy file: err %v", err)
 	}
 }

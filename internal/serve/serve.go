@@ -382,22 +382,10 @@ func (s *Server) runWorkload(ctx context.Context, st *stream, ws *workerState, j
 		s.fail(st, err)
 		return
 	}
-	sch, err := engine.Lookup(job.Backend)
+	b, err := engine.New(job.Backend, job.Shards)
 	if err != nil {
 		s.fail(st, err)
 		return
-	}
-	b := sch.New()
-	if job.Shards > 0 {
-		sb, ok := b.(engine.Sharded)
-		if !ok {
-			s.fail(st, fmt.Errorf("backend %s does not support shard configuration", job.Backend))
-			return
-		}
-		if err := sb.SetShards(job.Shards); err != nil {
-			s.fail(st, err)
-			return
-		}
 	}
 	events := job.Events
 	if events == 0 {
