@@ -12,8 +12,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
@@ -22,22 +24,37 @@ import (
 )
 
 func main() {
-	var (
-		out    = flag.String("o", "", "output object path (default: input with .lobj)")
-		disasm = flag.Bool("d", false, "disassemble instead of assembling")
-		syms   = flag.Bool("syms", false, "dump the symbol table")
-	)
-	flag.Parse()
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: latch-asm [-o out.lobj] [-d] [-syms] <input>")
-		os.Exit(2)
-	}
-	input := flag.Arg(0)
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	prog, err := load(input)
+// run is the whole command; it returns the exit status: 2 for a usage
+// error, 1 for a failed assembly, read or write.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("latch-asm", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		out    = fs.String("o", "", "output object path (default: input with .lobj)")
+		disasm = fs.Bool("d", false, "disassemble instead of assembling")
+		syms   = fs.Bool("syms", false, "dump the symbol table")
+	)
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return 0
+	} else if err != nil || fs.NArg() != 1 {
+		fmt.Fprintln(stderr, "usage: latch-asm [-o out.lobj] [-d] [-syms] <input>")
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
+	input := fs.Arg(0)
+	data, err := os.ReadFile(input)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return fail(err)
+	}
+	prog, err := isa.Load(string(data))
+	if err != nil {
+		return fail(err)
 	}
 
 	switch {
@@ -50,10 +67,10 @@ func main() {
 			return prog.Labels[names[i]] < prog.Labels[names[j]]
 		})
 		for _, name := range names {
-			fmt.Printf("%08x  %s\n", prog.Labels[name], name)
+			fmt.Fprintf(stdout, "%08x  %s\n", prog.Labels[name], name)
 		}
 	case *disasm:
-		fmt.Print(isa.Disassemble(prog))
+		fmt.Fprint(stdout, isa.Disassemble(prog))
 	default:
 		path := *out
 		if path == "" {
@@ -61,30 +78,17 @@ func main() {
 		}
 		f, err := os.Create(path)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return fail(err)
 		}
-		if err := isa.WriteObject(f, prog); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+		err = isa.WriteObject(f, prog)
+		if cerr := f.Close(); err == nil {
+			err = cerr
 		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+		if err != nil {
+			return fail(err)
 		}
-		fmt.Printf("%s: %d bytes, %d symbols, entry %#x\n",
+		fmt.Fprintf(stdout, "%s: %d bytes, %d symbols, entry %#x\n",
 			path, len(prog.Image), len(prog.Labels), prog.Entry)
 	}
-}
-
-// load reads either an object file or assembly source, deciding by content.
-func load(path string) (*isa.Program, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	if len(data) >= 4 && string(data[:4]) == "LOBJ" {
-		return isa.ReadObject(strings.NewReader(string(data)))
-	}
-	return isa.Assemble(string(data))
+	return 0
 }

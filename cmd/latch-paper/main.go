@@ -14,6 +14,8 @@
 //	latch-paper tables -workers 1 -stats              # serial reference + job table
 //	latch-paper tables -metrics out.json              # dump the telemetry registry
 //	latch-paper tables -exp sampling -sample 0.25 -sample-seed 7
+//	latch-paper trace -bench astar -dump astar.trc    # one stream's locality
+//	latch-paper calibrate -tol 2.5                    # Tables 1-4, 6, 7 vs paper
 //	latch-paper run -grid experiments.json            # run the grid
 //	latch-paper run -grid experiments.json -analyze   # ...and analyze it
 //	latch-paper analyze paper_runs/20260808T120000Z   # any past run dir
@@ -61,6 +63,10 @@ func main() {
 	switch os.Args[1] {
 	case "tables":
 		os.Exit(cmdTables(os.Args[2:], os.Stdout, os.Stderr))
+	case "trace":
+		os.Exit(cmdTrace(os.Args[2:], os.Stdout, os.Stderr))
+	case "calibrate":
+		os.Exit(cmdCalibrate(os.Args[2:], os.Stdout, os.Stderr))
 	case "run":
 		err = cmdRun(os.Args[2:])
 	case "analyze":
@@ -80,6 +86,8 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   latch-paper tables [-exp ids] [-backend names] [-format text|json|markdown] [-list] ...
+  latch-paper trace (-bench name | -profile file | -replay file | -list) [-events n] [-dump file]
+  latch-paper calibrate [-bench name] [-events n] [-epoch-events n] [-tol x]
   latch-paper run -grid <file> [-out-root dir] [-repeats n] [-analyze] [-history file]
   latch-paper analyze [-history file] <run-dir>
   latch-paper smoke [-keep]`)

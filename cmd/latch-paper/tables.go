@@ -43,16 +43,8 @@ func cmdTables(args []string, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
-	usageErr := func(err error) int {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
-	runErr := func(err error) int {
-		fmt.Fprintln(stderr, err)
-		return 1
-	}
 	if *format != "text" && *format != "json" && *format != "markdown" {
-		return usageErr(fmt.Errorf("unknown format %q", *format))
+		return fail(stderr, 2, fmt.Errorf("unknown format %q", *format))
 	}
 
 	if *list {
@@ -62,21 +54,15 @@ func cmdTables(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	opts := experiments.DefaultOptions()
-	if *events > 0 {
-		opts.Events = *events
-	}
-	if *epochEvents > 0 {
-		opts.EpochEvents = *epochEvents
-	}
+	opts := lengthOptions(*events, *epochEvents)
 	opts.Workers = *workers
 	if *shards < 0 {
-		return usageErr(fmt.Errorf("-shards must be positive, got %d", *shards))
+		return fail(stderr, 2, fmt.Errorf("-shards must be positive, got %d", *shards))
 	}
 	opts.Shards = *shards
 	pol, polGiven, err := policy.FromFlags(*polPath, *sampleFrac, *sampleSeed)
 	if err != nil {
-		return usageErr(err)
+		return fail(stderr, 2, err)
 	}
 	if polGiven {
 		opts.Policy = pol
@@ -90,7 +76,7 @@ func cmdTables(args []string, stdout, stderr io.Writer) int {
 			for _, id := range strings.Split(*exp, ",") {
 				e, err := experiments.Lookup(strings.TrimSpace(id))
 				if err != nil {
-					return usageErr(err)
+					return fail(stderr, 2, err)
 				}
 				selected = append(selected, e)
 			}
@@ -111,7 +97,7 @@ func cmdTables(args []string, stdout, stderr io.Writer) int {
 		start := time.Now()
 		table, err := e.Run(runner)
 		if err != nil {
-			return runErr(fmt.Errorf("%s: %v", e.ID, err))
+			return fail(stderr, 1, fmt.Errorf("%s: %v", e.ID, err))
 		}
 		switch *format {
 		case "markdown":
@@ -121,7 +107,7 @@ func cmdTables(args []string, stdout, stderr io.Writer) int {
 				ID    string       `json:"id"`
 				Table *stats.Table `json:"table"`
 			}{e.ID, table}); err != nil {
-				return runErr(err)
+				return fail(stderr, 1, err)
 			}
 		default:
 			fmt.Fprintln(stdout, table.String())
@@ -151,7 +137,7 @@ func cmdTables(args []string, stdout, stderr io.Writer) int {
 				ElapsedMS int64        `json:"elapsed_ms"`
 				Workers   int          `json:"workers"`
 			}{"jobstats", table, elapsed.Milliseconds(), nw}); err != nil {
-				return runErr(err)
+				return fail(stderr, 1, err)
 			}
 		case "markdown":
 			fmt.Fprintln(stdout, table.Markdown())
@@ -164,10 +150,10 @@ func cmdTables(args []string, stdout, stderr io.Writer) int {
 	if *metricsOut != "" {
 		data, err := json.MarshalIndent(runner.MetricsReport(), "", "  ")
 		if err != nil {
-			return runErr(err)
+			return fail(stderr, 1, err)
 		}
 		if err := os.WriteFile(*metricsOut, append(data, '\n'), 0o644); err != nil {
-			return runErr(err)
+			return fail(stderr, 1, err)
 		}
 	}
 	return 0
@@ -183,4 +169,23 @@ func splitList(s string) []string {
 		}
 	}
 	return out
+}
+
+// lengthOptions returns the default options with each stream length that
+// is nonzero overriding its default: the -events/-epoch-events rule.
+func lengthOptions(events, epochEvents uint64) experiments.Options {
+	opts := experiments.DefaultOptions()
+	if events > 0 {
+		opts.Events = events
+	}
+	if epochEvents > 0 {
+		opts.EpochEvents = epochEvents
+	}
+	return opts
+}
+
+// fail prints err to w and returns code, the exit status to stop with.
+func fail(w io.Writer, code int, err error) int {
+	fmt.Fprintln(w, err)
+	return code
 }

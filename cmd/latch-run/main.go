@@ -36,7 +36,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strings"
 	"time"
 
 	"latch"
@@ -151,7 +150,7 @@ func run() int {
 	}
 
 	if *disasm {
-		prog, err := assembleOrLoad(src)
+		prog, err := isa.Load(src)
 		if err != nil {
 			return fail(err)
 		}
@@ -220,7 +219,7 @@ func run() int {
 	analyzer := trace.NewEpochAnalyzer()
 	sys.Machine.SetHook(analyzer)
 
-	prog, err := assembleOrLoad(src)
+	prog, err := isa.Load(src)
 	if err != nil {
 		return fail(err)
 	}
@@ -297,7 +296,7 @@ func runCoSim(ctx context.Context, src string, pol latch.Policy, input []byte, r
 	}
 	sys.Machine.Env.FileData = input
 	sys.Machine.Env.Requests = requests
-	prog, err := assembleOrLoad(src)
+	prog, err := isa.Load(src)
 	if err != nil {
 		return fail(err)
 	}
@@ -345,15 +344,6 @@ func writeSnapshot(path string, sh *latch.Shadow) error {
 		return err
 	}
 	return f.Close()
-}
-
-// assembleOrLoad treats src as a serialized object file when it carries the
-// LOBJ magic (latch-asm output passed via -src), assembly source otherwise.
-func assembleOrLoad(src string) (*isa.Program, error) {
-	if strings.HasPrefix(src, "LOBJ") {
-		return isa.ReadObject(strings.NewReader(src))
-	}
-	return isa.Assemble(src)
 }
 
 // flagSet is the subset of latch-run's flags whose combinations can

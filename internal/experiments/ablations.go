@@ -246,17 +246,8 @@ func (r *Runner) AblationClearBits() (*stats.Table, error) {
 			if clear == latch.LazyClear {
 				m.ScanResidentClears()
 			}
-			// Ground truth: count domains that still hold taint.
-			truth := 0
-			for _, pn := range sh.EverTaintedPageNumbers() {
-				base := pn << 12
-				for off := uint32(0); off < 4096; off += cfg.DomainSize {
-					if sh.DomainTainted(sh.DomainIndex(base + off)) {
-						truth++
-					}
-				}
-			}
-			return outcome{marked: m.CTT().TaintedDomains(), truth: truth}, nil
+			// Ground truth: the domains that still hold taint.
+			return outcome{marked: m.CTT().TaintedDomains(), truth: sh.TaintedDomains()}, nil
 		}
 
 		eager, err := run(latch.EagerClear)

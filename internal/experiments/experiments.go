@@ -27,6 +27,7 @@ import (
 	"latch/internal/engine"
 	"latch/internal/latch"
 	"latch/internal/policy"
+	"latch/internal/shadow"
 	"latch/internal/stats"
 	"latch/internal/telemetry"
 	"latch/internal/trace"
@@ -97,7 +98,7 @@ type Runner struct {
 	opts Options
 
 	mu       sync.Mutex // guards the memoized passes below
-	temporal map[workload.Suite][]temporalResult
+	temporal map[workload.Suite][]TemporalResult
 	backends map[backendKey][]engine.Result
 	typed    map[backendKey]any // memoized typedPass slices, one []T per key
 	frontier []FrontierRow      // memoized selective-tracing sweep
@@ -115,7 +116,7 @@ type Runner struct {
 func NewRunner(o Options) *Runner {
 	return &Runner{
 		opts:     o,
-		temporal: make(map[workload.Suite][]temporalResult),
+		temporal: make(map[workload.Suite][]TemporalResult),
 		backends: make(map[backendKey][]engine.Result),
 		typed:    make(map[backendKey]any),
 		metrics:  make(map[string]*telemetry.Metrics),
@@ -185,8 +186,8 @@ func (r *Runner) jobProfile(pass, name string) (workload.Profile, error) {
 	return p, nil
 }
 
-// temporalResult is one benchmark's temporal characterization.
-type temporalResult struct {
+// TemporalResult is one benchmark's temporal characterization.
+type TemporalResult struct {
 	Name         string
 	TaintPct     float64
 	EpochShares  []float64
@@ -196,14 +197,14 @@ type temporalResult struct {
 
 // Temporal runs (or returns the memoized) temporal characterization pass.
 // Each benchmark is one pool job.
-func (r *Runner) Temporal(s workload.Suite) ([]temporalResult, error) {
+func (r *Runner) Temporal(s workload.Suite) ([]TemporalResult, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if res, ok := r.temporal[s]; ok {
 		return res, nil
 	}
 	names := workload.BySuite(s)
-	out := make([]temporalResult, len(names))
+	out := make([]TemporalResult, len(names))
 	err := r.runJobs("temporal", names, func(i int, name string, js *JobStat) error {
 		p, err := r.jobProfile("temporal", name)
 		if err != nil {
@@ -218,7 +219,7 @@ func (r *Runner) Temporal(s workload.Suite) ([]temporalResult, error) {
 		g.Run(r.opts.EpochEvents, a)
 		a.Finish()
 		js.Events = a.TotalInstructions()
-		out[i] = temporalResult{
+		out[i] = TemporalResult{
 			Name:         name,
 			TaintPct:     a.TaintedPercent(),
 			EpochShares:  a.EpochShares(),
@@ -269,12 +270,20 @@ func (r *Runner) Figure5() (*stats.Table, error) {
 			return nil, err
 		}
 		for _, tr := range res {
-			t.AddRowf(tr.Name,
-				100*tr.EpochShares[0], 100*tr.EpochShares[1], 100*tr.EpochShares[2],
-				100*tr.EpochShares[3], 100*tr.EpochShares[4])
+			t.AddRowf(append([]any{tr.Name}, EpochShareRow(tr.EpochShares)...)...)
 		}
 	}
 	return t, nil
+}
+
+// EpochShareRow renders an analyzer's EpochShares as the percentages one
+// Figure 5 row prints.
+func EpochShareRow(shares []float64) []any {
+	row := make([]any, len(shares))
+	for i, s := range shares {
+		row[i] = 100 * s
+	}
+	return row
 }
 
 // Table3 regenerates Table 3: page-granularity taint distribution, SPEC.
@@ -312,7 +321,7 @@ func (r *Runner) pagesTable(s workload.Suite, title string) (*stats.Table, error
 }
 
 // Fig6Granularities are the taint-domain sizes swept by Figure 6.
-var Fig6Granularities = []uint32{8, 16, 32, 64, 128, 256}
+var Fig6Granularities = [...]uint32{8, 16, 32, 64, 128, 256}
 
 // Figure6 regenerates Figure 6: the taint-detection multiplier (coarse
 // detections over byte-precise detections) as domain size grows. Each
@@ -331,39 +340,55 @@ func (r *Runner) Figure6() (*stats.Table, error) {
 			return nil, err
 		}
 		defer release()
-		sh := g.Shadow()
-		coarse := make([]uint64, len(Fig6Granularities))
-		var precise uint64
-		g.Run(r.opts.Fig6Events, trace.SinkFunc(func(ev trace.Event) {
-			js.Events++
-			if !ev.IsMem {
-				return
-			}
-			js.Checks++
-			if ev.Tainted {
-				precise++
-			}
-			for gi, gsize := range Fig6Granularities {
-				if sh.MustTaintedAt(ev.Addr, gsize) {
-					coarse[gi]++
-				}
-			}
-		}))
-		row := make([]any, 0, 7)
-		row = append(row, name)
-		for gi := range Fig6Granularities {
-			if precise == 0 {
-				row = append(row, 0.0)
-				continue
-			}
-			row = append(row, float64(coarse[gi])/float64(precise))
-		}
-		return row, nil
+		sweep := &GranularitySweep{Shadow: g.Shadow()}
+		g.Run(r.opts.Fig6Events, sweep)
+		js.Events, js.Checks = sweep.Events, sweep.MemAccesses
+		return append([]any{name}, sweep.Row()...), nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	return t, nil
+}
+
+// GranularitySweep is the Figure 6 sink: over a stream's Events it counts
+// the MemAccesses, their byte-precise taint detections, and their coarse
+// detections at every Fig6Granularities domain size of Shadow.
+type GranularitySweep struct {
+	Shadow                       *shadow.Shadow
+	Events, MemAccesses, precise uint64
+	coarse                       [len(Fig6Granularities)]uint64
+}
+
+// Consume implements trace.Sink.
+func (s *GranularitySweep) Consume(ev trace.Event) {
+	s.Events++
+	if !ev.IsMem {
+		return
+	}
+	s.MemAccesses++
+	if ev.Tainted {
+		s.precise++
+	}
+	for i, g := range Fig6Granularities {
+		if s.Shadow.MustTaintedAt(ev.Addr, g) {
+			s.coarse[i]++
+		}
+	}
+}
+
+// Row returns the detection multiplier (coarse over byte-precise
+// detections) per granularity: one Figure 6 row, all zero when the stream
+// touched no tainted byte.
+func (s *GranularitySweep) Row() []any {
+	row := make([]any, len(s.coarse))
+	for i, c := range s.coarse {
+		row[i] = 0.0
+		if s.precise > 0 {
+			row[i] = float64(c) / float64(s.precise)
+		}
+	}
+	return row
 }
 
 // Figure13 regenerates Figure 13: S-LATCH and software-only DIFT overheads

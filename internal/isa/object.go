@@ -7,10 +7,12 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 )
 
 // Object file format for assembled LA32 programs ("LOBJ"): lets programs be
-// assembled once with latch-asm and executed or disassembled later.
+// assembled once with latch-asm and executed (latch-run -src) or
+// disassembled later.
 //
 //	header: "LOBJ" magic, uint16 version, uint16 reserved,
 //	        uint32 origin, uint32 entry, uint32 image length,
@@ -89,14 +91,16 @@ func ReadObject(r io.Reader) (*Program, error) {
 	if imageLen > maxImage || labelCount > 1<<20 {
 		return nil, fmt.Errorf("%w: unreasonable sizes (image %d, labels %d)", ErrBadObject, imageLen, labelCount)
 	}
+	// Memory grows with the bytes present, not with the declared sizes.
+	image, err := io.ReadAll(io.LimitReader(br, int64(imageLen)))
+	if err != nil || len(image) != int(imageLen) {
+		return nil, fmt.Errorf("%w: truncated image: %d of %d bytes (%v)", ErrBadObject, len(image), imageLen, err)
+	}
 	p := &Program{
 		Origin: origin,
 		Entry:  entry,
-		Image:  make([]byte, imageLen),
-		Labels: make(map[string]uint32, labelCount),
-	}
-	if _, err := io.ReadFull(br, p.Image); err != nil {
-		return nil, fmt.Errorf("%w: truncated image: %v", ErrBadObject, err)
+		Image:  image,
+		Labels: make(map[string]uint32, min(labelCount, 1<<10)),
 	}
 	for i := uint32(0); i < labelCount; i++ {
 		var nameLen uint16
@@ -114,4 +118,13 @@ func ReadObject(r io.Reader) (*Program, error) {
 		p.Labels[string(name)] = addr
 	}
 	return p, nil
+}
+
+// Load reads src as an object file when it carries the LOBJ magic, as
+// assembly source otherwise.
+func Load(src string) (*Program, error) {
+	if strings.HasPrefix(src, objectMagic) {
+		return ReadObject(strings.NewReader(src))
+	}
+	return Assemble(src)
 }

@@ -672,6 +672,20 @@ func (s *Shadow) CurrentTaintedPages() int {
 	return n
 }
 
+// TaintedDomains returns the number of domains holding taint right now.
+func (s *Shadow) TaintedDomains() int {
+	n := 0
+	for _, pn := range s.allocated {
+		p := s.dir[pn>>leafBits][pn&(leafSize-1)]
+		for _, b := range p.domainBytes[:mem.PageSize>>s.domShift] {
+			if b > 0 {
+				n++
+			}
+		}
+	}
+	return n
+}
+
 // Reset clears all taint and statistics. Watchers are retained but not
 // invoked for the wholesale clear. The tag pages are zeroed and recycled
 // onto the shadow's free list (or its shared PagePool) rather than

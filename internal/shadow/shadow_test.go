@@ -103,9 +103,11 @@ func TestDomainTracking(t *testing.T) {
 	}
 	s.Set(130, MustLabel(0))
 	s.Set(131, MustLabel(0))
-	if !s.DomainTainted(2) || s.DomainTaintedBytes(2) != 2 {
-		t.Fatal("domain counters wrong")
+	s.Set(0x5000, MustLabel(1)) // a domain on another page
+	if !s.DomainTainted(2) || s.DomainTaintedBytes(2) != 2 || s.TaintedDomains() != 2 {
+		t.Fatalf("domain counters wrong: %d tainted domains", s.TaintedDomains())
 	}
+	s.Set(0x5000, TagClean)
 	if s.DomainTainted(1) || s.DomainTainted(3) {
 		t.Fatal("neighbor domains tainted")
 	}
@@ -114,7 +116,7 @@ func TestDomainTracking(t *testing.T) {
 		t.Fatal("domain count after clear wrong")
 	}
 	s.Set(131, TagClean)
-	if s.DomainTainted(2) {
+	if s.DomainTainted(2) || s.TaintedDomains() != 0 {
 		t.Fatal("domain still tainted after full clear")
 	}
 }

@@ -10,7 +10,7 @@ import (
 // applications (the way the paper characterized SPEC and the network apps)
 // and run them through the same experiment machinery:
 //
-//	latch-trace -profile my-app.json
+//	latch-paper trace -profile my-app.json
 //
 // All Profile fields are exported and carry their Go names in JSON.
 

@@ -55,37 +55,3 @@ func TestReadProfileRejections(t *testing.T) {
 		t.Errorf("built-in name collision not flagged: %v", err)
 	}
 }
-
-func TestRegisterCustomProfile(t *testing.T) {
-	p := MustGet("gcc")
-	p.Name = "registered-app"
-	p.Suite = SuiteNetwork
-	if err := Register(p); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { delete(registry, "registered-app") })
-	got, err := Get("registered-app")
-	if err != nil || got.TaintPct != p.TaintPct {
-		t.Fatalf("registered profile not retrievable: %v", err)
-	}
-	// Duplicates and invalid profiles are rejected.
-	if err := Register(p); err == nil {
-		t.Fatal("duplicate registration accepted")
-	}
-	bad := p
-	bad.Name = "bad-app"
-	bad.TaintPct = -5
-	if err := Register(bad); err == nil {
-		t.Fatal("invalid profile accepted")
-	}
-	// The suite listing includes it while registered.
-	found := false
-	for _, name := range BySuite(SuiteNetwork) {
-		if name == "registered-app" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("registered profile missing from suite listing")
-	}
-}

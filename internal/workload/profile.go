@@ -202,20 +202,6 @@ func register(p Profile) {
 	registry[p.Name] = p
 }
 
-// Register adds a user-defined profile to the registry so the experiment
-// harness and CLIs can run it like a built-in benchmark. It rejects invalid
-// profiles and name collisions.
-func Register(p Profile) error {
-	if err := p.Validate(); err != nil {
-		return err
-	}
-	if _, dup := registry[p.Name]; dup {
-		return fmt.Errorf("workload: profile %q already registered", p.Name)
-	}
-	registry[p.Name] = p
-	return nil
-}
-
 // Get returns the profile named name.
 func Get(name string) (Profile, error) {
 	p, ok := registry[name]
