@@ -29,20 +29,20 @@ vet:
 # goroutines, so this catches data races in the pool, the suite runners,
 # and the per-job simulation state. The second pass re-runs the
 # truly-concurrent P-LATCH tier — the SPSC ring stress/fuzz seeds, the
-# sharded-monitor determinism pin, and the shard-sweep equivalence check —
+# monitor determinism pin, and the cplatch-vs-reference equivalence check —
 # a second time for extra schedule diversity on the lock-free paths.
 # -timeout 30m: the experiments package alone needs ~8 minutes under the
 # race detector on a single-CPU box, too close to Go's 10m default.
 race:
 	$(GO) test -race -timeout 30m ./...
 	$(GO) test -race -timeout 30m -count=2 \
-		-run 'TestConcurrentStress|TestBackpressureStalls|FuzzRingSPSC|TestConcurrentDeterminismPin|TestConcurrentShardSweepEquivalence' \
+		-run 'TestConcurrentStress|TestBackpressureStalls|FuzzRingSPSC|TestConcurrentDeterminismPin|TestConcurrentReferenceEquivalence' \
 		./internal/ring ./internal/platch ./internal/diffcheck
 
 verify: fmt test vet race diffcheck serve-smoke paper-smoke
 
 # Paper-grade reproduction: run the default experiment grid (repeats,
-# backend/shard/sampling/geometry sweeps, catalog experiments) into a
+# backend/sampling/geometry sweeps, catalog experiments) into a
 # timestamped paper_runs/<ts>/ tree and analyze it — per-cell
 # mean/stddev/95%-CI tables as Markdown and LaTeX, plus an appended
 # BENCH_history.json headline entry. See EXPERIMENTS.md for the grid
@@ -93,9 +93,9 @@ cover:
 # observability-overhead report (BENCH_observability.json), the hot-path
 # report (BENCH_hotpath.json: CPU.Step / shadow.Set / end-to-end
 # experiment pass against the pre-overhaul baselines), and the concurrent
-# P-LATCH report (BENCH_cplatch.json: serial analytic platch vs the
-# lock-free pipeline at 1/2/4/8 monitor shards, with the zero-alloc
-# producer-step bar enforced), and the selective-tracing frontier
+# P-LATCH report (BENCH_cplatch.json: flagged fraction, lock-free pipeline
+# and serial analytic platch ns/event on apache, sphinx3 and astar, with
+# the zero-alloc producer-step bar enforced), and the selective-tracing frontier
 # (BENCH_sampling.json: detection rate vs S-LATCH overhead across the
 # sampling-fraction sweep).
 bench:

@@ -46,10 +46,9 @@ type RunRequest struct {
 	Workload string
 	// Events is the requested stream length; 0 selects DefaultRunEvents.
 	Events uint64
-	// Shards is the monitor shard count for sharded backends (the
-	// concurrent "cplatch" integration); 0 keeps the backend's default
-	// geometry. A positive count on a backend without shard support is an
-	// error.
+	// Shards accepts 0 or 1 and has no effect: every backend runs one
+	// monitor. It stays for latchbench compatibility (see
+	// engine.BatchBackend); any other value is an error.
 	Shards int
 	// Seed, when non-zero, replaces the calibrated profile's RNG seed for
 	// this run. The stream stays bit-deterministic per seed; callers that
@@ -74,9 +73,9 @@ type RunRequest struct {
 const DefaultRunEvents = 2_000_000
 
 // Validate reports the first problem with the request without running
-// anything: an unknown backend or workload, a negative shard count, or
-// shards on a backend that cannot fan out. The serving layer validates
-// requests up front so a bad job is rejected before it occupies a worker.
+// anything: an unknown backend or workload, a shard count other than 0 or
+// 1, or an invalid policy. The serving layer validates requests up front
+// so a bad job is rejected before it occupies a worker.
 func (r RunRequest) Validate() error {
 	if r.Backend == "" {
 		return fmt.Errorf("latch: RunRequest.Backend is required (registered: %v)", Backends())
@@ -90,13 +89,8 @@ func (r RunRequest) Validate() error {
 	if _, err := workload.Get(r.Workload); err != nil {
 		return err
 	}
-	if r.Shards < 0 {
-		return fmt.Errorf("latch: RunRequest.Shards must be non-negative, got %d", r.Shards)
-	}
-	if r.Shards > 0 {
-		if _, err := engine.New(r.Backend, r.Shards); err != nil {
-			return fmt.Errorf("latch: %w", err)
-		}
+	if r.Shards != 0 && r.Shards != 1 {
+		return fmt.Errorf("latch: RunRequest.Shards must be 0 or 1 (one monitor core), got %d", r.Shards)
 	}
 	if r.Policy != nil {
 		if err := r.Policy.Validate(); err != nil {
@@ -109,7 +103,7 @@ func (r RunRequest) Validate() error {
 // Run streams one calibrated workload through the named backend. The
 // context bounds the run: cancellation or a deadline stops the stream
 // within engine.CancelCheckEvents events — with the backend fully
-// finalized, monitor shards joined — and returns ctx.Err().
+// finalized, its monitor joined — and returns ctx.Err().
 func Run(ctx context.Context, req RunRequest) (BackendResult, error) {
 	if err := req.Validate(); err != nil {
 		return nil, err
@@ -121,7 +115,7 @@ func Run(ctx context.Context, req RunRequest) (BackendResult, error) {
 	if req.Seed != 0 {
 		p.Seed = req.Seed
 	}
-	b, err := engine.New(req.Backend, req.Shards)
+	b, err := engine.New(req.Backend)
 	if err != nil {
 		return nil, err
 	}

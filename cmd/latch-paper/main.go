@@ -9,7 +9,7 @@
 //	latch-paper tables                                # every catalog table
 //	latch-paper tables -exp table6,figure16 -format markdown
 //	latch-paper tables -backend slatch,hlatch         # registry-driven summaries
-//	latch-paper tables -backend cplatch -shards 8     # concurrent P-LATCH, 8 monitor shards
+//	latch-paper tables -backend cplatch               # concurrent P-LATCH pipeline
 //	latch-paper tables -list
 //	latch-paper tables -workers 1 -stats              # serial reference + job table
 //	latch-paper tables -metrics out.json              # dump the telemetry registry
@@ -168,8 +168,8 @@ func cmdAnalyze(args []string) error {
 }
 
 // smokeGrid is the miniature self-check grid: two cells, two repeats,
-// short streams — it exercises the facade path (including a shard sweep)
-// and the geometry path in seconds.
+// short streams — it exercises the facade path (the concurrent backend
+// included) and the geometry path in seconds.
 const smokeGrid = `{
   "name": "paper-smoke",
   "repeats": 2,

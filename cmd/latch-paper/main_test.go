@@ -45,7 +45,9 @@ func TestDefaultGridValid(t *testing.T) {
 // panic, and every grid it accepts must marshal back to a file that loads
 // to an equal grid. Equal means equal encodings: omitempty writes an empty
 // list and an absent one alike, and the pipeline reads them alike (it only
-// takes their length), so `"shards": []` and no shards are the same grid.
+// takes their length), so `"values": []` and no values are the same grid.
+// The third seed names the removed "shards" key, which strict decoding
+// rejects.
 // Run with
 //
 //	go test -run='^$' -fuzz=FuzzLoadGrid ./cmd/latch-paper/

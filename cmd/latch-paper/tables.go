@@ -30,7 +30,6 @@ func cmdTables(args []string, stdout, stderr io.Writer) int {
 		chart       = fs.Bool("chart", false, "also render bar charts for figure experiments")
 		workers     = fs.Int("workers", 0, "worker-pool size for per-benchmark jobs (0 = one per CPU)")
 		backend     = fs.String("backend", "", "comma-separated registered backend names: render their registry-driven summary tables")
-		shards      = fs.Int("shards", 0, "monitor shard count for sharded backends (cplatch); 0 keeps backend defaults")
 		showStats   = fs.Bool("stats", false, "print the per-pass job statistics table after the run")
 		metricsOut  = fs.String("metrics", "", "write the per-pass telemetry registry to this file as JSON")
 		polPath     = fs.String("policy", "", "JSON taint-policy file overlaid onto the default; applies to every pass")
@@ -56,10 +55,6 @@ func cmdTables(args []string, stdout, stderr io.Writer) int {
 
 	opts := lengthOptions(*events, *epochEvents)
 	opts.Workers = *workers
-	if *shards < 0 {
-		return fail(stderr, 2, fmt.Errorf("-shards must be positive, got %d", *shards))
-	}
-	opts.Shards = *shards
 	pol, polGiven, err := policy.FromFlags(*polPath, *sampleFrac, *sampleSeed)
 	if err != nil {
 		return fail(stderr, 2, err)

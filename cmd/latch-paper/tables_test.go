@@ -79,6 +79,7 @@ func TestTablesUsageErrors(t *testing.T) {
 		{"unknown experiment", []string{"-exp", "nope"}, "unknown id"},
 		{"seed without sampler", []string{"-exp", "complexity", "-sample-seed", "7"}, "needs a sampler"},
 		{"unknown format", []string{"-format", "nope"}, "unknown format"},
+		// -shards is gone (one monitor core): any use is an unknown flag.
 		{"negative shards", []string{"-shards", "-1"}, "-shards"},
 		{"unknown flag", []string{"-nope"}, "-nope"},
 	}

@@ -35,6 +35,16 @@ func cmdTrace(args []string, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
+	// The stream sources are exclusive: naming two would leave one unused.
+	sources := 0
+	for _, src := range []string{*replay, *profile, *bench} {
+		if src != "" {
+			sources++
+		}
+	}
+	if sources > 1 {
+		return fail(stderr, 2, errors.New("-replay, -profile and -bench are exclusive; give one"))
+	}
 
 	if *list {
 		for _, name := range workload.Names() {

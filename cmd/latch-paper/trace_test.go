@@ -120,6 +120,10 @@ func TestTraceUsageErrors(t *testing.T) {
 		{"unknown benchmark", []string{"-bench", "nope"}, "unknown benchmark"},
 		{"missing profile", []string{"-profile", filepath.Join(t.TempDir(), "none.json")}, "none.json"},
 		{"unknown flag", []string{"-nope"}, "-nope"},
+		{"replay and profile", []string{"-replay", "a.trc", "-profile", "p.json"}, "exclusive"},
+		{"replay and bench", []string{"-replay", "a.trc", "-bench", "astar"}, "exclusive"},
+		{"profile and bench", []string{"-profile", "p.json", "-bench", "astar"}, "exclusive"},
+		{"all three sources", []string{"-replay", "a.trc", "-profile", "p.json", "-bench", "astar"}, "exclusive"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

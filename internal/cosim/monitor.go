@@ -29,23 +29,14 @@ type Monitor struct {
 
 var _ vm.Tracker = (*Monitor)(nil)
 
-// NewMonitor builds a co-simulated machine around the named registered
-// backend in its paper-default configuration.
+// NewMonitor builds a co-simulated machine around a fresh instance of the
+// named registered backend in its paper-default configuration.
 func NewMonitor(backendName string, pol policy.Policy, obs telemetry.Observer) (*Monitor, error) {
-	sch, err := engine.Lookup(backendName)
+	b, err := engine.New(backendName)
 	if err != nil {
 		return nil, err
 	}
-	return NewMonitorBackend(sch.New(), pol, obs)
-}
-
-// NewMonitorBackend builds a co-simulated machine around an already
-// constructed (and possibly specially configured) backend instance — the
-// differential checker uses this to sweep the concurrent backend's shard
-// counts. The backend must be fresh: one instance serves one run.
-func NewMonitorBackend(b engine.Backend, pol policy.Policy, obs telemetry.Observer) (*Monitor, error) {
 	m := &Monitor{backend: b}
-	var err error
 	if m.machine, err = newMachine(b.Config(), pol, obs, m); err != nil {
 		return nil, err
 	}

@@ -69,19 +69,25 @@ type Backend interface {
 	Finish(s *Session) Result
 }
 
-// BatchBackend is an alias for Backend. It survives only because the
-// benchmark harness (latchbench/decorator.go) names it, and that harness
-// does not change together with the engine.
+// Latchbench compatibility. The benchmark harness (latchbench/) compiles
+// against and digests a few names that the engine no longer needs, and
+// that harness does not change together with the engine. Each of these
+// goes at the next benchmark change:
+//
+//   - BatchBackend, an alias for Backend (latchbench/decorator.go);
+//   - Sharded, implemented only by the concurrent P-LATCH backend, whose
+//     SetShards accepts 1 and nothing else: its monitor is one core;
+//   - latch.RunRequest.Shards and serve.WorkloadJob.Shards, which accept 0
+//     or 1 and reject any other value;
+//   - platch.ConcurrentResult's Shards (always 1), ShardStats (one entry)
+//     and Flagged (always nil), kept so its JSON encoding is unchanged.
 type BatchBackend = Backend
 
-// Sharded is the optional Backend extension for integrations whose monitor
-// fans out over N parallel shards (the concurrent P-LATCH backend). The
-// CLIs' -shards flags and the experiment harness's Shards option reach any
-// registered backend through this interface. SetShards must be called
-// before Init; implementations reject later calls.
+// Sharded is the monitor shard-count surface latchbench still calls; see
+// BatchBackend. SetShards must be called before Init.
 type Sharded interface {
 	Backend
-	// SetShards fixes the monitor shard count for this run (n >= 1).
+	// SetShards fixes the monitor shard count for this run.
 	SetShards(n int) error
 }
 
@@ -110,7 +116,7 @@ type Result interface {
 // CancelCheckEvents is the profile driver's cancellation granularity: the
 // run's context is polled every this many stream events (a power of two, so
 // the check is a mask test). A canceled run stops — with its backend fully
-// finalized, monitor shards joined — within at most CancelCheckEvents events
+// finalized, its monitor joined — within at most CancelCheckEvents events
 // of the cancellation.
 const CancelCheckEvents = 4096
 
@@ -149,7 +155,7 @@ type RunOptions struct {
 //
 // Cancellation: ctx is polled every CancelCheckEvents events. On
 // cancellation the stream stops, the backend is still finalized (so
-// concurrent backends join their monitor shards and leak nothing), the
+// concurrent backends join their monitor and leak nothing), the
 // partial result is discarded, and ctx.Err() is returned.
 func RunProfile(ctx context.Context, b Backend, p workload.Profile, opts RunOptions) (Result, error) {
 	res, _, err := RunProfileSession(ctx, b, p, opts)
@@ -195,7 +201,7 @@ func RunProfileSession(ctx context.Context, b Backend, p workload.Profile, opts 
 	s.Profile = p
 	s.Target = opts.Events
 	// A context canceled before the stream starts aborts here, before the
-	// backend spins up any per-run machinery (monitor shards included).
+	// backend spins up any per-run machinery (the monitor goroutine included).
 	if err := ctx.Err(); err != nil {
 		return nil, s, err
 	}
@@ -211,8 +217,8 @@ func RunProfileSession(ctx context.Context, b Backend, p workload.Profile, opts 
 	if !g.Stopped() {
 		bs.Flush()
 	}
-	// Finalize unconditionally: for sharded backends Finish closes the
-	// rings and joins the monitor goroutines, which must happen on the
+	// Finalize unconditionally: for the concurrent backend Finish closes
+	// the ring and joins the monitor goroutine, which must happen on the
 	// cancellation path too.
 	res := b.Finish(s)
 	if g.Stopped() {

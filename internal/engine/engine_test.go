@@ -3,7 +3,6 @@ package engine_test
 import (
 	"context"
 	"errors"
-	"fmt"
 	"strings"
 	"testing"
 
@@ -63,46 +62,14 @@ func init() {
 		Title: "fake test backend",
 		New:   func() engine.Backend { return &fakeBackend{cfg: latch.DefaultConfig()} },
 	})
-	engine.Register(engine.Scheme{
-		Name:  "fake-sharded",
-		Title: "fake sharded test backend",
-		New:   func() engine.Backend { return &shardedFake{fakeBackend: fakeBackend{cfg: latch.DefaultConfig()}} },
-	})
-}
-
-// shardedFake is fakeBackend with a monitor shard count of at most 8.
-type shardedFake struct {
-	fakeBackend
-	shards int
-}
-
-func (b *shardedFake) SetShards(n int) error {
-	if n > 8 {
-		return fmt.Errorf("too many shards: %d", n)
-	}
-	b.shards = n
-	return nil
 }
 
 func TestNew(t *testing.T) {
-	if b, err := engine.New("fake", 0); err != nil || b.Name() != "fake" {
-		t.Fatalf("New(fake, 0) = %v, %v", b, err)
+	if b, err := engine.New("fake"); err != nil || b.Name() != "fake" {
+		t.Fatalf("New(fake) = %v, %v", b, err)
 	}
-	if _, err := engine.New("fake", 2); err == nil || !strings.Contains(err.Error(), "does not support shard") {
-		t.Fatalf("New(fake, 2): err %v, want a shard-support error", err)
-	}
-	if _, err := engine.New("no-such-backend", 0); err == nil {
+	if _, err := engine.New("no-such-backend"); err == nil {
 		t.Fatal("New of unknown backend succeeded")
-	}
-	b, err := engine.New("fake-sharded", 4)
-	if err != nil || b.(*shardedFake).shards != 4 {
-		t.Fatalf("New(fake-sharded, 4) = %v, %v", b, err)
-	}
-	if b, err := engine.New("fake-sharded", 0); err != nil || b.(*shardedFake).shards != 0 {
-		t.Fatalf("New(fake-sharded, 0) = %v, %v; want the default geometry", b, err)
-	}
-	if _, err := engine.New("fake-sharded", 9); err == nil {
-		t.Fatal("SetShards error swallowed")
 	}
 }
 

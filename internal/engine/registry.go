@@ -65,24 +65,11 @@ func namesLocked() []string {
 }
 
 // New builds a fresh instance of the named registered backend in its
-// paper-default configuration. A positive shards fixes the monitor shard
-// count through Sharded, and a backend without shard support rejects it;
-// shards <= 0 keeps the backend's default geometry.
-func New(name string, shards int) (Backend, error) {
+// paper-default configuration.
+func New(name string) (Backend, error) {
 	sch, err := Lookup(name)
 	if err != nil {
 		return nil, err
 	}
-	b := sch.New()
-	if shards <= 0 {
-		return b, nil
-	}
-	sb, ok := b.(Sharded)
-	if !ok {
-		return nil, fmt.Errorf("backend %s does not support shard configuration", name)
-	}
-	if err := sb.SetShards(shards); err != nil {
-		return nil, err
-	}
-	return b, nil
+	return sch.New(), nil
 }

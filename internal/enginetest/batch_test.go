@@ -72,7 +72,7 @@ func TestBatchBackendEquivalence(t *testing.T) {
 		}
 		// P-LATCH's Ring stats report real, scheduling-dependent pipeline
 		// occupancy; everything else (flag digest, monitor taint hash,
-		// shard queues) must match exactly.
+		// monitor queues) must match exactly.
 		if cr, ok := rb.(platch.ConcurrentResult); ok {
 			cr.Ring = platch.RingStats{}
 			rb = cr

@@ -33,11 +33,6 @@ func (r *Runner) BackendPass(name string, s workload.Suite) ([]engine.Result, er
 	if err != nil {
 		return nil, err
 	}
-	// Backends without shard support ignore Options.Shards.
-	shards := r.opts.Shards
-	if _, ok := sch.New().(engine.Sharded); !ok {
-		shards = 0
-	}
 	opts := engine.RunOptions{Events: r.opts.Events, Observer: r.passObserver(name), Policy: r.opts.Policy}
 	names := workload.BySuite(s)
 	out := make([]engine.Result, len(names))
@@ -46,11 +41,7 @@ func (r *Runner) BackendPass(name string, s workload.Suite) ([]engine.Result, er
 		if err != nil {
 			return err
 		}
-		b, err := engine.New(name, shards)
-		if err != nil {
-			return fmt.Errorf("%s %s: %w", name, wname, err)
-		}
-		res, err := r.runProfile(b, p, opts)
+		res, err := r.runProfile(sch.New(), p, opts)
 		if err != nil {
 			return fmt.Errorf("%s %s: %w", name, wname, err)
 		}
@@ -110,8 +101,7 @@ func (r *Runner) PLatch(s workload.Suite) ([]platch.Result, error) {
 	return typedPass[platch.Result](r, "platch", s)
 }
 
-// CPLatch runs (or returns the memoized) concurrent P-LATCH pass, at the
-// Options.Shards shard count (the backend default when zero).
+// CPLatch runs (or returns the memoized) concurrent P-LATCH pass.
 func (r *Runner) CPLatch(s workload.Suite) ([]platch.ConcurrentResult, error) {
 	return typedPass[platch.ConcurrentResult](r, "cplatch", s)
 }

@@ -42,13 +42,13 @@ func TestResultMetricsNumericOnly(t *testing.T) {
 		{Label: "overhead", Value: 0.25},
 		{Label: "pair", Value: "1.2 | 3.4"},
 		{Label: "count", Value: uint64(7)},
-		{Label: "shards", Value: 4},
+		{Label: "shards", Value: 1},
 	}}
 	wm := ResultMetrics(res)
 	want := []Metric{
 		{Name: "overhead", Value: 0.25},
 		{Name: "count", Value: 7},
-		{Name: "shards", Value: 4},
+		{Name: "shards", Value: 1},
 	}
 	if !reflect.DeepEqual(wm.Metrics, want) {
 		t.Fatalf("Metrics = %+v, want %+v", wm.Metrics, want)

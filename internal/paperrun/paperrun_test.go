@@ -26,11 +26,10 @@ const testGrid = `{
       "headline": "overhead"
     },
     {
-      "id": "cplatch-shards",
+      "id": "cplatch",
       "kind": "backend",
       "backends": ["cplatch"],
-      "workloads": ["gcc"],
-      "shards": [1, 2]
+      "workloads": ["gcc"]
     },
     {
       "id": "sampling",
@@ -270,7 +269,10 @@ func TestLoadGridValidation(t *testing.T) {
 		{"bad backend", `{"name":"g","repeats":1,"cells":[{"id":"x","kind":"backend","backends":["nope"],"workloads":["gcc"]}]}`, "unknown backend"},
 		{"bad workload", `{"name":"g","repeats":1,"cells":[{"id":"x","kind":"backend","backends":["slatch"],"workloads":["nope"]}]}`, "unknown workload"},
 		{"bad fraction", `{"name":"g","repeats":1,"cells":[{"id":"x","kind":"backend","backends":["slatch"],"workloads":["gcc"],"sample_fractions":[1.5]}]}`, "outside [0, 1]"},
-		{"shards on unsharded backend", `{"name":"g","repeats":1,"cells":[{"id":"x","kind":"backend","backends":["slatch"],"workloads":["gcc"],"shards":[2]}]}`, "does not support shard"},
+		{"unknown key shards", `{"name":"g","repeats":1,"cells":[{"id":"x","kind":"backend","backends":["cplatch"],"workloads":["gcc"],"shards":[1,2]}]}`, `unknown field "shards"`},
+		{"unknown key sample_fraction", `{"name":"g","repeats":1,"cells":[{"id":"x","kind":"backend","backends":["slatch"],"workloads":["gcc"],"sample_fraction":[0.5]}]}`, `unknown field "sample_fraction"`},
+		{"unknown grid key", `{"name":"g","repeats":1,"seed":3,"cells":[{"id":"x","kind":"backend","backends":["slatch"],"workloads":["gcc"]}]}`, `unknown field "seed"`},
+		{"trailing data", `{"name":"g","repeats":1,"cells":[{"id":"x","kind":"backend","backends":["slatch"],"workloads":["gcc"]}]}}`, "data after the grid"},
 		{"bad axis", `{"name":"g","repeats":1,"cells":[{"id":"x","kind":"geometry","axis":"nope","values":[1],"workloads":["gcc"]}]}`, "unknown geometry axis"},
 		{"domain size the scheme rejects", `{"name":"g","repeats":1,"cells":[{"id":"x","kind":"geometry","axis":"domain_size","values":[3],"workloads":["gcc"]}]}`, "invalid domain size 3"},
 		{"bad experiment", `{"name":"g","repeats":1,"cells":[{"id":"x","kind":"experiment","experiments":["nope"]}]}`, "unknown id"},

@@ -3,30 +3,26 @@
 // monitor core with a queue simulation evaluated after the fact; this file
 // runs them. The monitored core (the engine's driver, calling StepBatch)
 // filters the commit stream through the shared LATCH policy and publishes
-// every flagged instruction into a lock-free SPSC ring (internal/ring); N
-// monitor shards — one consumer goroutine each, partitioned by coarse
-// taint domain — drain their rings concurrently and perform the DIFT
-// monitor's bookkeeping: the per-shard coarse taint table, the flagged-
-// event log, and the virtual-time FIFO occupancy/stall measurement the
-// analytic model predicts.
+// every flagged instruction into a lock-free SPSC ring (internal/ring); one
+// monitor goroutine — the monitor core — drains the ring and does the DIFT
+// monitor's bookkeeping as each record arrives: the coarse taint table, the
+// flagged-log digest, and the virtual-time FIFO occupancy/stall measurement
+// the analytic model predicts.
 //
 // Determinism contract: everything in the result except the Ring field is
-// a pure function of the event stream and the shard count, and everything
-// in the deterministic core (CycleTable, the merged flagged log, the
-// monitor taint hash) is additionally independent of the shard count —
-// shard-local state is partitioned by taint domain, and the merge step
-// orders cross-shard entries by commit sequence number, reproducing the
-// serial order exactly. The Ring field alone reports real, scheduling-
-// dependent ring behavior and is excluded from result columns and from
-// every determinism assertion.
+// a pure function of the event stream. The ring preserves commit order, so
+// the monitor folds the flagged records into its digest in sequence order,
+// exactly as a serial monitor would. The Ring field alone reports real,
+// scheduling-dependent ring behavior and is excluded from result columns
+// and from every determinism assertion.
 package platch
 
 import (
 	"context"
 	"fmt"
+	"hash"
 	"hash/fnv"
 	"sort"
-	"sync"
 
 	"latch/internal/engine"
 	"latch/internal/latch"
@@ -39,60 +35,27 @@ import (
 func init() {
 	engine.Register(engine.Scheme{
 		Name:  "cplatch",
-		Title: "Concurrent P-LATCH: sharded lock-free two-core DIFT (§5.2 realized)",
-		New:   func() engine.Backend { return NewConcurrent(DefaultConcurrentConfig()) },
+		Title: "Concurrent P-LATCH: lock-free two-core DIFT (§5.2 realized)",
+		New:   func() engine.Backend { return NewConcurrent(DefaultConfig()) },
 	})
 }
 
-// ConcurrentConfig parameterizes the concurrent backend. The embedded
-// analytic Config supplies the LATCH geometry, the window model, the
-// pending-update FIFO, and the queue depth/service rates; the fields here
-// size the real pipeline.
-type ConcurrentConfig struct {
-	Config
-
-	// Shards is the number of monitor shards (consumer goroutines), each
-	// owning the taint domains congruent to its index modulo Shards.
-	Shards int
-
-	// RingCapacity is the per-shard SPSC ring size in events (a power of
-	// two); RingBatch is the producer's publish granularity.
-	RingCapacity int
-	RingBatch    int
-
-	// KeepFlagged retains the merged flagged-event log in the result.
-	// Off by default: results are memoized by the experiment harness and
-	// the log grows with the stream; the FlagDigest always summarizes it.
-	KeepFlagged bool
-}
-
-// DefaultConcurrentConfig returns the registered backend's configuration:
-// the paper's P-LATCH parameters over a 4-shard monitor.
-func DefaultConcurrentConfig() ConcurrentConfig {
-	return ConcurrentConfig{
-		Config:       DefaultConfig(),
-		Shards:       4,
-		RingCapacity: 1024,
-		RingBatch:    64,
-	}
-}
-
-// monEvent is the commit-log record published through a shard's ring: the
+// monEvent is the commit-log record published through the ring: the
 // flagged instruction plus everything the monitor needs, precomputed on
-// the producer side so shards never touch the shared Session state.
+// the producer side so the monitor never touches the shared Session state.
 type monEvent struct {
 	seq     uint64
 	pc      uint32
 	addr    uint32
 	domain  uint32
-	write   bool
 	tainted bool
 	pending bool // enqueued by the pending-update FIFO, not the coarse state
 }
 
-// Flagged is one entry of the monitor's merged flagged-event log, ordered
-// by commit sequence number — the concurrent backend's violation-candidate
-// log, identical for every shard count.
+// Flagged is one entry of the monitor's flagged-event log. The log is not
+// kept: the monitor folds each entry into ConcurrentResult.FlagDigest as it
+// arrives. The type stays because ConcurrentResult.Flagged (always nil)
+// keeps the result's JSON encoding stable for latchbench.
 type Flagged struct {
 	Seq     uint64
 	PC      uint32
@@ -101,12 +64,12 @@ type Flagged struct {
 	Pending bool
 }
 
-// vqueue measures one shard's FIFO in virtual time: arrivals at producer
+// vqueue measures the monitor's FIFO in virtual time: arrivals at producer
 // commit-sequence timestamps, service at a fixed rate, stalls when the
 // bounded queue fills — the same discrete model queueSim evaluates
-// analytically, executed incrementally by the consuming shard. Virtual
-// time makes the measurement deterministic: it depends on the arrival
-// sequence, never on goroutine scheduling.
+// analytically, executed incrementally by the monitor. Virtual time makes
+// the measurement deterministic: it depends on the arrival sequence, never
+// on goroutine scheduling.
 type vqueue struct {
 	depth   int
 	service float64
@@ -117,8 +80,6 @@ type vqueue struct {
 	push        float64 // accumulated producer stall delay
 	srvEnd      float64
 	stalls      uint64
-	stallCycles float64
-	occSum      uint64
 	occMax      int
 }
 
@@ -140,13 +101,11 @@ func (q *vqueue) arrive(seq uint64) {
 		}
 		wait := q.ring[q.head] - now
 		q.stalls++
-		q.stallCycles += wait
 		q.push += wait
 		now = q.ring[q.head]
 		q.head = (q.head + 1) % q.depth
 		q.count--
 	}
-	q.occSum += uint64(q.count)
 	if q.count+1 > q.occMax {
 		q.occMax = q.count + 1
 	}
@@ -159,9 +118,9 @@ func (q *vqueue) arrive(seq uint64) {
 	q.count++
 }
 
-// overhead returns the fractional slowdown over native execution this
-// shard's queue imposed on a totalEvents-instruction run: producer stall
-// time plus any monitor lag past the last commit.
+// overhead returns the fractional slowdown over native execution the
+// queue imposed on a totalEvents-instruction run: producer stall time plus
+// any monitor lag past the last commit.
 func (q *vqueue) overhead(totalEvents uint64) float64 {
 	if totalEvents == 0 {
 		return 0
@@ -173,47 +132,57 @@ func (q *vqueue) overhead(totalEvents uint64) float64 {
 	return total/float64(totalEvents) - 1
 }
 
-// shardState is one monitor shard: its ring, its partition of the coarse
-// taint table, its slice of the flagged log, and its queue measurements.
-// Everything here is owned by the shard's consumer goroutine until the
-// merge step joins it.
-type shardState struct {
+// monitor is the monitor core: its ring, its coarse taint table, the
+// running flagged-log digest, and its queue measurements. Everything here
+// is owned by the monitor goroutine until Finish joins it.
+type monitor struct {
 	ring    *ring.SPSC[monEvent]
 	events  uint64
-	flagged []Flagged
+	digest  hash.Hash64 // FNV-1a over the Seq-ordered flagged records
+	rec     [21]byte    // one flagged record's digest encoding
 	domains map[uint32]struct{}
 	qSimple *vqueue
 	qOpt    *vqueue
+	done    chan struct{} // closed when consume returns
 }
 
-// consume is the shard's monitor loop: drain the ring in batches until the
+// consume is the monitor loop: drain the ring in batches until the
 // producer closes it.
-func (sh *shardState) consume(batchSize int) {
-	buf := make([]monEvent, batchSize)
+func (m *monitor) consume() {
+	defer close(m.done)
+	buf := make([]monEvent, ring.DefaultBatch)
 	for {
-		n := sh.ring.PopBatch(buf)
+		n := m.ring.PopBatch(buf)
 		if n == 0 {
 			return
 		}
 		for _, ev := range buf[:n] {
-			sh.events++
+			m.events++
 			if ev.tainted {
-				sh.domains[ev.domain] = struct{}{}
+				m.domains[ev.domain] = struct{}{}
 			}
-			sh.flagged = append(sh.flagged, Flagged{
-				Seq: ev.seq, PC: ev.pc, Addr: ev.addr, Domain: ev.domain, Pending: ev.pending,
-			})
-			sh.qSimple.arrive(ev.seq)
-			sh.qOpt.arrive(ev.seq)
+			putU64(m.rec[0:], ev.seq)
+			putU32(m.rec[8:], ev.pc)
+			putU32(m.rec[12:], ev.addr)
+			putU32(m.rec[16:], ev.domain)
+			m.rec[20] = 0
+			if ev.pending {
+				m.rec[20] = 1
+			}
+			m.digest.Write(m.rec[:])
+			m.qSimple.arrive(ev.seq)
+			m.qOpt.arrive(ev.seq)
 		}
 	}
 }
 
-// ShardStat is one shard's deterministic measurement summary.
+// ShardStat is the monitor's deterministic measurement summary. The name
+// and the one-entry ConcurrentResult.ShardStats slice are kept for
+// latchbench compatibility (see engine.Sharded).
 type ShardStat struct {
 	Shard   int
-	Events  uint64 // flagged events routed to this shard
-	Domains int    // taint domains marked in this shard's table
+	Events  uint64 // flagged events the monitor processed
+	Domains int    // taint domains marked in the monitor's table
 
 	OverheadSimple    float64
 	OverheadOptimized float64
@@ -223,10 +192,10 @@ type ShardStat struct {
 	MaxDepthOptimized int
 }
 
-// RingStats aggregates the real SPSC ring behavior across shards. These
-// numbers depend on goroutine scheduling; they are reported for
-// observability and benchmarks and are excluded from result columns and
-// every determinism contract.
+// RingStats reports the real SPSC ring behavior. These numbers depend on
+// goroutine scheduling; they are reported for observability and
+// benchmarks and are excluded from result columns and every determinism
+// contract.
 type RingStats struct {
 	Pushes         uint64
 	Flushes        uint64
@@ -237,7 +206,7 @@ type RingStats struct {
 }
 
 // CycleTable is the deterministic cycle accounting of a concurrent run —
-// the fields pinned byte-identical across runs and shard counts.
+// the fields pinned byte-identical across runs.
 type CycleTable struct {
 	ActiveWindowFraction float64
 	OverheadSimple       float64
@@ -246,7 +215,10 @@ type CycleTable struct {
 	Session              engine.Cycles
 }
 
-// ConcurrentResult is one benchmark's concurrent P-LATCH outcome.
+// ConcurrentResult is one benchmark's concurrent P-LATCH outcome. Shards
+// is always 1, ShardStats has one entry and Flagged is nil: the fields
+// stay so the result's JSON encoding, which latchbench digests, is
+// unchanged (see engine.Sharded).
 type ConcurrentResult struct {
 	Benchmark string
 	Events    uint64
@@ -260,15 +232,14 @@ type ConcurrentResult struct {
 	EnqueuedFraction      float64
 	PendingExtraPositives uint64
 
-	// Merged monitor state (deterministic, shard-count-independent).
+	// Monitor state (deterministic).
 	FlaggedEvents    uint64
-	FlagDigest       uint64 // FNV-1a over the Seq-ordered merged flagged log
-	MonitorDomains   int    // taint domains marked across all shard tables
-	MonitorTaintHash uint64 // FNV-1a over the sorted merged domain set
+	FlagDigest       uint64 // FNV-1a over the Seq-ordered flagged log
+	MonitorDomains   int    // taint domains marked in the monitor's table
+	MonitorTaintHash uint64 // FNV-1a over the sorted domain set
 	Flagged          []Flagged
 
-	// Virtual-time queue measurements (deterministic at a fixed shard
-	// count; the makespan is the slowest shard).
+	// Virtual-time queue measurements (deterministic).
 	QueueOverheadSimple    float64
 	QueueOverheadOptimized float64
 	StallsSimple           uint64
@@ -306,8 +277,7 @@ func (r ConcurrentResult) Columns() []engine.Column {
 	}
 }
 
-// CycleTable returns the deterministic cycle accounting pinned across runs
-// and shard counts.
+// CycleTable returns the deterministic cycle accounting pinned across runs.
 func (r ConcurrentResult) CycleTable() CycleTable {
 	return CycleTable{
 		ActiveWindowFraction: r.ActiveWindowFraction,
@@ -319,14 +289,13 @@ func (r ConcurrentResult) CycleTable() CycleTable {
 }
 
 // cbackend is the concurrent backend: the producer-side policy state plus
-// the shard fan-out.
+// the monitor core.
 type cbackend struct {
-	cfg ConcurrentConfig
+	cfg Config
 
-	filt   *filter
-	win    windows
-	shards []*shardState
-	wg     sync.WaitGroup
+	filt *filter
+	win  windows
+	mon  *monitor
 
 	started  bool
 	finished bool
@@ -334,8 +303,9 @@ type cbackend struct {
 }
 
 // NewConcurrent builds an unstarted concurrent backend. The returned value
-// serves exactly one run, like every engine.Backend.
-func NewConcurrent(cfg ConcurrentConfig) *cbackend {
+// serves exactly one run, like every engine.Backend. cfg.Events and
+// cfg.Observer do not reach the backend: the run's RunOptions carry those.
+func NewConcurrent(cfg Config) *cbackend {
 	return &cbackend{cfg: cfg}
 }
 
@@ -350,60 +320,44 @@ func (b *cbackend) Name() string { return "cplatch" }
 // Config implements engine.Backend.
 func (b *cbackend) Config() latch.Config { return b.cfg.Latch }
 
-// SetShards implements engine.Sharded.
+// SetShards implements engine.Sharded. There is one monitor core, so 1 is
+// the only count it accepts.
 func (b *cbackend) SetShards(n int) error {
-	if b.started {
-		return fmt.Errorf("cplatch: SetShards after Init")
+	if n != 1 {
+		return fmt.Errorf("cplatch: one monitor core; shard count %d is not supported", n)
 	}
-	if n < 1 {
-		return fmt.Errorf("cplatch: shard count %d < 1", n)
-	}
-	b.cfg.Shards = n
 	return nil
 }
 
-// Init implements engine.Backend: validate the geometry, then start one
-// consumer goroutine per shard.
+// Init implements engine.Backend: validate the queue geometry, then start
+// the monitor goroutine.
 func (b *cbackend) Init(s *engine.Session) error {
 	if b.started {
 		return fmt.Errorf("cplatch: backend reused; one instance serves one run")
 	}
-	if b.cfg.Shards < 1 {
-		return fmt.Errorf("cplatch: shard count %d < 1", b.cfg.Shards)
+	if b.cfg.QueueDepth < 1 {
+		return fmt.Errorf("cplatch: queue depth %d < 1", b.cfg.QueueDepth)
 	}
 	b.filt = newFilter(b.cfg.PendingEntries, b.cfg.PendingLagInstrs)
 	b.win = windows{size: b.cfg.WindowInstrs}
-	simpleService := 1 + b.cfg.SimpleLBAOverhead
-	optService := 1 + b.cfg.OptimizedLBAOverhead
-	b.shards = make([]*shardState, b.cfg.Shards)
-	for i := range b.shards {
-		r, err := ring.New[monEvent](b.cfg.RingCapacity, b.cfg.RingBatch)
-		if err != nil {
-			return fmt.Errorf("cplatch: %w", err)
-		}
-		sh := &shardState{
-			ring:    r,
-			domains: make(map[uint32]struct{}),
-			qSimple: newVQueue(b.cfg.QueueDepth, simpleService, s.Observer),
-			qOpt:    newVQueue(b.cfg.QueueDepth, optService, s.Observer),
-		}
-		b.shards[i] = sh
-		b.wg.Add(1)
-		go func() {
-			defer b.wg.Done()
-			sh.consume(b.cfg.RingBatch)
-		}()
+	b.mon = &monitor{
+		ring:    ring.MustNew[monEvent](ring.DefaultCapacity, ring.DefaultBatch),
+		digest:  fnv.New64a(),
+		domains: make(map[uint32]struct{}),
+		qSimple: newVQueue(b.cfg.QueueDepth, 1+b.cfg.SimpleLBAOverhead, s.Observer),
+		qOpt:    newVQueue(b.cfg.QueueDepth, 1+b.cfg.OptimizedLBAOverhead, s.Observer),
+		done:    make(chan struct{}),
 	}
+	go b.mon.consume()
 	b.started = true
 	return nil
 }
 
 // StepBatch implements engine.Backend: run the shared enqueue policy on the
-// monitored core, then publish flagged instructions to the owning shard's
-// ring. Steady-state cost on the producer side is the coarse check plus
-// one ring slot write per flagged event — no allocation, no locks. Shard
-// sequence numbers come from s.Events, so the cursor advances before each
-// event.
+// monitored core, then publish flagged instructions to the monitor's ring.
+// Steady-state cost on the producer side is the coarse check plus one ring
+// slot write per flagged event — no allocation, no locks. Sequence numbers
+// come from s.Events, so the cursor advances before each event.
 func (b *cbackend) StepBatch(s *engine.Session, evs []trace.Event) {
 	for i := range evs {
 		ev := &evs[i]
@@ -413,49 +367,44 @@ func (b *cbackend) StepBatch(s *engine.Session, evs []trace.Event) {
 		if !enq {
 			continue
 		}
-		domain := s.Shadow.DomainIndex(ev.Addr)
-		b.shards[int(domain)%len(b.shards)].ring.Push(monEvent{
+		b.mon.ring.Push(monEvent{
 			seq:     s.Events,
 			pc:      ev.PC,
 			addr:    ev.Addr,
-			domain:  domain,
-			write:   ev.IsWrite,
+			domain:  s.Shadow.DomainIndex(ev.Addr),
 			tainted: ev.Tainted,
 			pending: viaPending,
 		})
 	}
 }
 
-// Finish implements engine.Backend: close the rings, join the shards, and
-// merge their state deterministically. Finish is idempotent — call sites
-// that finalize defensively (the differential checker finalizes from a
-// deferred call) get the memoized result.
+// Finish implements engine.Backend: close the ring, join the monitor, and
+// assemble the result. Finish is idempotent — call sites that finalize
+// defensively (the differential checker finalizes from a deferred call)
+// get the memoized result.
 func (b *cbackend) Finish(s *engine.Session) engine.Result {
 	if b.finished {
 		return b.res
 	}
 	b.finished = true
-	for _, sh := range b.shards {
-		sh.ring.Close()
-	}
-	b.wg.Wait()
-	b.res = b.merge(s)
-	if !b.cfg.KeepFlagged {
-		b.res.Flagged = nil
-	}
+	b.mon.ring.Close()
+	<-b.mon.done
+	b.res = b.result(s)
 	return b.res
 }
 
-// merge joins the quiescent shard states into the run's result. Cross-
-// shard order is reimposed by commit sequence number, so the merged log —
-// and every digest over it — is identical to a serial monitor's.
-func (b *cbackend) merge(s *engine.Session) ConcurrentResult {
+// result reads the quiescent monitor state into the run's result.
+func (b *cbackend) result(s *engine.Session) ConcurrentResult {
+	m := b.mon
 	res := ConcurrentResult{
 		Benchmark:             s.Profile.Name,
 		Events:                s.Events,
-		Shards:                len(b.shards),
+		Shards:                1,
 		ActiveWindowFraction:  b.win.fraction(),
 		PendingExtraPositives: b.filt.pendingExtra,
+		FlaggedEvents:         m.events,
+		FlagDigest:            m.digest.Sum64(),
+		MonitorDomains:        len(m.domains),
 		SessionCycles:         s.CycleReport(),
 	}
 	res.OverheadSimple = res.ActiveWindowFraction * b.cfg.SimpleLBAOverhead
@@ -464,97 +413,40 @@ func (b *cbackend) merge(s *engine.Session) ConcurrentResult {
 		res.EnqueuedFraction = float64(b.filt.positives) / float64(s.Events)
 	}
 
-	// Seq-ordered k-way merge of the shard logs. Each shard's slice is
-	// already ascending (rings preserve order; one event per sequence
-	// number), so repeatedly taking the smallest head reproduces the
-	// serial commit order.
-	total := 0
-	for _, sh := range b.shards {
-		total += len(sh.flagged)
-	}
-	merged := make([]Flagged, 0, total)
-	idx := make([]int, len(b.shards))
-	for len(merged) < total {
-		best := -1
-		for i, sh := range b.shards {
-			if idx[i] >= len(sh.flagged) {
-				continue
-			}
-			if best < 0 || sh.flagged[idx[i]].Seq < b.shards[best].flagged[idx[best]].Seq {
-				best = i
-			}
-		}
-		merged = append(merged, b.shards[best].flagged[idx[best]])
-		idx[best]++
-	}
-	res.Flagged = merged
-	res.FlaggedEvents = uint64(total)
-
-	h := fnv.New64a()
-	var rec [21]byte
-	for _, f := range merged {
-		putU64(rec[0:], f.Seq)
-		putU32(rec[8:], f.PC)
-		putU32(rec[12:], f.Addr)
-		putU32(rec[16:], f.Domain)
-		rec[20] = 0
-		if f.Pending {
-			rec[20] = 1
-		}
-		h.Write(rec[:])
-	}
-	res.FlagDigest = h.Sum64()
-
-	// Union of the per-shard coarse taint tables. Domains partition across
-	// shards, so the union is a disjoint one and its digest is independent
-	// of the shard count.
-	var domains []uint32
-	for _, sh := range b.shards {
-		for d := range sh.domains {
-			domains = append(domains, d)
-		}
+	domains := make([]uint32, 0, len(m.domains))
+	for d := range m.domains {
+		domains = append(domains, d)
 	}
 	sort.Slice(domains, func(i, j int) bool { return domains[i] < domains[j] })
 	dh := fnv.New64a()
 	for _, d := range domains {
-		putU32(rec[0:], d)
-		dh.Write(rec[:4])
+		putU32(m.rec[0:], d)
+		dh.Write(m.rec[:4])
 	}
-	res.MonitorDomains = len(domains)
 	res.MonitorTaintHash = dh.Sum64()
 
-	res.ShardStats = make([]ShardStat, len(b.shards))
-	for i, sh := range b.shards {
-		st := ShardStat{
-			Shard:             i,
-			Events:            sh.events,
-			Domains:           len(sh.domains),
-			OverheadSimple:    sh.qSimple.overhead(s.Events),
-			OverheadOptimized: sh.qOpt.overhead(s.Events),
-			StallsSimple:      sh.qSimple.stalls,
-			StallsOptimized:   sh.qOpt.stalls,
-			MaxDepthSimple:    sh.qSimple.occMax,
-			MaxDepthOptimized: sh.qOpt.occMax,
-		}
-		res.ShardStats[i] = st
-		res.StallsSimple += st.StallsSimple
-		res.StallsOptimized += st.StallsOptimized
-		if st.OverheadSimple > res.QueueOverheadSimple {
-			res.QueueOverheadSimple = st.OverheadSimple
-		}
-		if st.OverheadOptimized > res.QueueOverheadOptimized {
-			res.QueueOverheadOptimized = st.OverheadOptimized
-		}
+	st := ShardStat{
+		Events:            m.events,
+		Domains:           len(m.domains),
+		OverheadSimple:    m.qSimple.overhead(s.Events),
+		OverheadOptimized: m.qOpt.overhead(s.Events),
+		StallsSimple:      m.qSimple.stalls,
+		StallsOptimized:   m.qOpt.stalls,
+		MaxDepthSimple:    m.qSimple.occMax,
+		MaxDepthOptimized: m.qOpt.occMax,
+	}
+	res.ShardStats = []ShardStat{st}
+	res.QueueOverheadSimple, res.QueueOverheadOptimized = st.OverheadSimple, st.OverheadOptimized
+	res.StallsSimple, res.StallsOptimized = st.StallsSimple, st.StallsOptimized
 
-		rs := sh.ring.Stats()
-		res.Ring.Pushes += rs.Pushes
-		res.Ring.Flushes += rs.Flushes
-		res.Ring.ProducerStalls += rs.ProducerStalls
-		res.Ring.ConsumerWaits += rs.ConsumerWaits
-		res.Ring.OccupancySum += rs.OccupancySum
-		if rs.OccupancyMax > res.Ring.OccupancyMax {
-			res.Ring.OccupancyMax = rs.OccupancyMax
-		}
+	rs := m.ring.Stats()
+	res.Ring = RingStats{
+		Pushes:         rs.Pushes,
+		Flushes:        rs.Flushes,
+		ProducerStalls: rs.ProducerStalls,
+		ConsumerWaits:  rs.ConsumerWaits,
+		OccupancySum:   rs.OccupancySum,
+		OccupancyMax:   rs.OccupancyMax,
 	}
 	return res
 }
@@ -572,7 +464,7 @@ func putU32(b []byte, v uint32) {
 
 // RunConcurrent evaluates one benchmark under the concurrent backend,
 // reporting telemetry to cfg.Observer when set.
-func RunConcurrent(p workload.Profile, cfg ConcurrentConfig) (ConcurrentResult, error) {
+func RunConcurrent(p workload.Profile, cfg Config) (ConcurrentResult, error) {
 	res, err := engine.RunProfile(context.Background(), NewConcurrent(cfg), p,
 		engine.RunOptions{Events: cfg.Events, Observer: cfg.Observer})
 	if err != nil {

@@ -2,14 +2,14 @@ package platch
 
 // This file measures the concurrent P-LATCH pipeline and writes the
 // committed perf artifact BENCH_cplatch.json: the serial analytic backend
-// against the concurrent backend at 1/2/4/8 monitor shards, plus the
-// producer-side StepBatch cost. It is a no-op unless -cplatch-bench-out is
-// given (`make bench` passes it), so the normal test run stays fast.
+// against the concurrent pipeline on a low-flag and two high-flag streams,
+// plus the producer-side StepBatch cost. It is a no-op unless
+// -cplatch-bench-out is given (`make bench` passes it), so the normal test
+// run stays fast.
 
 import (
 	"encoding/json"
 	"flag"
-	"fmt"
 	"os"
 	"testing"
 
@@ -23,8 +23,8 @@ import (
 var cplatchBenchOut = flag.String("cplatch-bench-out", "", "write the concurrent P-LATCH benchmark JSON artifact to this path")
 
 // producerHarness builds the monitored-core half of the concurrent backend
-// in isolation: real filter, window model, and ring, but no consumer
-// goroutines — the measuring goroutine drains the ring itself, so an
+// in isolation: real filter, window model, and ring, but no monitor
+// goroutine — the measuring goroutine drains the ring itself, so an
 // allocation measurement sees the producer path alone.
 type producerHarness struct {
 	b     *cbackend
@@ -35,7 +35,7 @@ type producerHarness struct {
 
 func newProducerHarness(tb testing.TB) *producerHarness {
 	tb.Helper()
-	cfg := DefaultConcurrentConfig()
+	cfg := DefaultConfig()
 	s, err := engine.NewSession(cfg.Latch)
 	if err != nil {
 		tb.Fatal(err)
@@ -49,7 +49,7 @@ func newProducerHarness(tb testing.TB) *producerHarness {
 	b := &cbackend{cfg: cfg}
 	b.filt = newFilter(cfg.PendingEntries, cfg.PendingLagInstrs)
 	b.win = windows{size: cfg.WindowInstrs}
-	b.shards = []*shardState{{ring: ring.MustNew[monEvent](4096, cfg.RingBatch)}}
+	b.mon = &monitor{ring: ring.MustNew[monEvent](4096, ring.DefaultBatch)}
 	evs := make([]trace.Event, 512)
 	for i := range evs {
 		ev := trace.Event{PC: uint32(0x1000 + 4*i), IsMem: true, Size: 4}
@@ -74,9 +74,9 @@ func newProducerHarness(tb testing.TB) *producerHarness {
 // allocation-free in steady state.
 func (h *producerHarness) step() {
 	h.b.StepBatch(h.s, h.evs)
-	h.b.shards[0].ring.Flush()
-	for h.b.shards[0].ring.Len() > 0 {
-		h.b.shards[0].ring.PopBatch(h.drain)
+	h.b.mon.ring.Flush()
+	for h.b.mon.ring.Len() > 0 {
+		h.b.mon.ring.PopBatch(h.drain)
 	}
 }
 
@@ -102,15 +102,19 @@ func BenchmarkCPlatchProducerStep(b *testing.B) {
 	}
 }
 
-// BenchmarkCPlatchApache sweeps the shard axis over the apache stream; the
-// serial analytic backend is the baseline the sweep is read against.
-func BenchmarkCPlatchApache(b *testing.B) {
-	p := workload.MustGet("apache")
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			cfg := DefaultConcurrentConfig()
+// benchProfiles are the streams BENCH_cplatch.json reports: apache flags
+// ~2% of its events to the monitor, sphinx3 ~14% and astar ~22%, the
+// high-flag streams where a monitor bottleneck would show.
+var benchProfiles = []string{"apache", "sphinx3", "astar"}
+
+// BenchmarkCPlatch times the whole pipeline — producer, ring and monitor —
+// over each benchmark stream.
+func BenchmarkCPlatch(b *testing.B) {
+	for _, name := range benchProfiles {
+		p := workload.MustGet(name)
+		b.Run(name, func(b *testing.B) {
+			cfg := DefaultConfig()
 			cfg.Events = uint64(b.N)
-			cfg.Shards = shards
 			if _, err := RunConcurrent(p, cfg); err != nil {
 				b.Fatal(err)
 			}
@@ -118,27 +122,34 @@ func BenchmarkCPlatchApache(b *testing.B) {
 	}
 }
 
-type cplatchShardEntry struct {
-	Shards              int     `json:"shards"`
-	NsPerEvent          float64 `json:"ns_per_event"`
-	SpeedupVsSerial     float64 `json:"speedup_vs_serial_platch"`
-	FlaggedEvents       uint64  `json:"flagged_events"`
-	QueueOverheadSimple float64 `json:"queue_overhead_simple"`
-	RingProducerStalls  uint64  `json:"ring_producer_stalls"`
-	RingOccupancyMax    uint64  `json:"ring_occupancy_max"`
+type cplatchProfileEntry struct {
+	Profile          string  `json:"profile"`
+	FlaggedFraction  float64 `json:"flagged_fraction"`
+	NsPerEvent       float64 `json:"ns_per_event"`
+	SerialNsPerEvent float64 `json:"serial_platch_ns_per_event"`
 }
 
-// TestWriteCPlatchBench writes BENCH_cplatch.json: producer StepBatch cost and
-// allocation count, the serial analytic pass, and the 1/2/4/8-shard
-// concurrent sweep over the same stream. The acceptance bars ride along:
-// zero steady-state producer-side allocations, and an equal flagged-event
-// count at every shard count.
+// nsPerEvent times run over a stream of events.
+func nsPerEvent(events uint64, run func() error) (float64, error) {
+	var err error
+	res := testing.Benchmark(func(b *testing.B) {
+		for i := 0; i < b.N && err == nil; i++ {
+			err = run()
+		}
+	})
+	return float64(res.T.Nanoseconds()) / float64(res.N) / float64(events), err
+}
+
+// TestWriteCPlatchBench writes BENCH_cplatch.json: producer StepBatch cost
+// and allocation count, then for each benchmark stream the flagged
+// fraction, the concurrent pipeline's cost and the serial analytic pass's
+// cost over the same stream. The zero steady-state producer-side
+// allocation bar rides along.
 func TestWriteCPlatchBench(t *testing.T) {
 	if *cplatchBenchOut == "" {
 		t.Skip("no -cplatch-bench-out path")
 	}
 	const events = 400_000
-	p := workload.MustGet("apache")
 
 	h := newProducerHarness(t)
 	h.step()
@@ -152,57 +163,40 @@ func TestWriteCPlatchBench(t *testing.T) {
 		t.Errorf("producer-side StepBatch allocates %.2f times per %d events, want 0", allocs, len(h.evs))
 	}
 
-	acfg := DefaultConfig()
-	acfg.Events = events
-	serialRes := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := Run(p, acfg); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	serialNs := float64(serialRes.T.Nanoseconds()) / float64(serialRes.N) / float64(events)
-
-	var sweep []cplatchShardEntry
-	var flagged uint64
-	for _, shards := range []int{1, 2, 4, 8} {
-		cfg := DefaultConcurrentConfig()
-		cfg.Events = events
-		cfg.Shards = shards
+	cfg := DefaultConfig()
+	cfg.Events = events
+	var entries []cplatchProfileEntry
+	for _, name := range benchProfiles {
+		p := workload.MustGet(name)
 		var last ConcurrentResult
-		res := testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				r, err := RunConcurrent(p, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = r
-			}
+		ns, err := nsPerEvent(events, func() (err error) {
+			last, err = RunConcurrent(p, cfg)
+			return err
 		})
-		ns := float64(res.T.Nanoseconds()) / float64(res.N) / float64(events)
-		if flagged == 0 {
-			flagged = last.FlaggedEvents
-		} else if last.FlaggedEvents != flagged {
-			t.Errorf("shards=%d flagged %d events, want %d", shards, last.FlaggedEvents, flagged)
+		if err != nil {
+			t.Fatal(err)
 		}
-		sweep = append(sweep, cplatchShardEntry{
-			Shards:              shards,
-			NsPerEvent:          ns,
-			SpeedupVsSerial:     serialNs / ns,
-			FlaggedEvents:       last.FlaggedEvents,
-			QueueOverheadSimple: last.QueueOverheadSimple,
-			RingProducerStalls:  last.Ring.ProducerStalls,
-			RingOccupancyMax:    last.Ring.OccupancyMax,
+		serialNs, err := nsPerEvent(events, func() error {
+			_, err := Run(p, cfg)
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		entries = append(entries, cplatchProfileEntry{
+			Profile:          name,
+			FlaggedFraction:  float64(last.FlaggedEvents) / float64(last.Events),
+			NsPerEvent:       ns,
+			SerialNsPerEvent: serialNs,
 		})
 	}
 
 	report := struct {
-		Events            uint64              `json:"events"`
-		ProducerNsPerStep float64             `json:"producer_ns_per_event"`
-		ProducerAllocs    float64             `json:"producer_allocs_per_batch"`
-		SerialNsPerEvent  float64             `json:"serial_platch_ns_per_event"`
-		Sweep             []cplatchShardEntry `json:"shard_sweep"`
-	}{events, prodNs, allocs, serialNs, sweep}
+		Events            uint64                `json:"events"`
+		ProducerNsPerStep float64               `json:"producer_ns_per_event"`
+		ProducerAllocs    float64               `json:"producer_allocs_per_batch"`
+		Profiles          []cplatchProfileEntry `json:"profiles"`
+	}{events, prodNs, allocs, entries}
 	raw, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {
 		t.Fatal(err)

@@ -11,105 +11,122 @@ import (
 	"latch/internal/workload"
 )
 
-// shardSweep is the shard-count axis every concurrent-tier test sweeps.
-var shardSweep = []int{1, 2, 4, 8}
-
-func concCfg(shards int) ConcurrentConfig {
-	cfg := DefaultConcurrentConfig()
+func concCfg() Config {
+	cfg := DefaultConfig()
 	cfg.Events = 200_000
-	cfg.Shards = shards
-	cfg.KeepFlagged = true
 	return cfg
 }
 
 // TestConcurrentMatchesAnalyticModel pins the producer-side contract: the
 // concurrent backend and the analytic backend share one filter and one
 // window model, so their policy-level numbers are equal exactly — not
-// approximately — on the same stream, at every shard count.
+// approximately — on the same stream.
 func TestConcurrentMatchesAnalyticModel(t *testing.T) {
 	p := workload.MustGet("apache")
-	acfg := shortCfg()
-	acfg.Events = 200_000
-	want, err := Run(p, acfg)
+	want, err := Run(p, concCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, shards := range shardSweep {
-		got, err := RunConcurrent(p, concCfg(shards))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Events != want.Events {
-			t.Fatalf("shards=%d: events %d != %d", shards, got.Events, want.Events)
-		}
-		if got.ActiveWindowFraction != want.ActiveWindowFraction ||
-			got.OverheadSimple != want.OverheadSimple ||
-			got.OverheadOptimized != want.OverheadOptimized ||
-			got.EnqueuedFraction != want.EnqueuedFraction ||
-			got.PendingExtraPositives != want.PendingExtraPositives {
-			t.Fatalf("shards=%d: window model diverged from analytic platch:\n got %+v\nwant %+v",
-				shards, got, want)
-		}
-		if got.FlaggedEvents == 0 {
-			t.Fatalf("shards=%d: no flagged events reached the monitor", shards)
-		}
-		if got.Ring.Pushes != got.FlaggedEvents {
-			t.Fatalf("shards=%d: ring pushes %d != flagged %d (lost or duplicated)",
-				shards, got.Ring.Pushes, got.FlaggedEvents)
-		}
+	got, err := RunConcurrent(p, concCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Events != want.Events {
+		t.Fatalf("events %d != %d", got.Events, want.Events)
+	}
+	if got.ActiveWindowFraction != want.ActiveWindowFraction ||
+		got.OverheadSimple != want.OverheadSimple ||
+		got.OverheadOptimized != want.OverheadOptimized ||
+		got.EnqueuedFraction != want.EnqueuedFraction ||
+		got.PendingExtraPositives != want.PendingExtraPositives {
+		t.Fatalf("window model diverged from analytic platch:\n got %+v\nwant %+v", got, want)
+	}
+	if got.FlaggedEvents == 0 {
+		t.Fatal("no flagged events reached the monitor")
+	}
+	if got.Ring.Pushes != got.FlaggedEvents {
+		t.Fatalf("ring pushes %d != flagged %d (lost or duplicated)", got.Ring.Pushes, got.FlaggedEvents)
 	}
 }
 
-// TestConcurrentQueueOracleAgreement is the oracle-agreement satellite: the
+// TestConcurrentQueueOracleAgreement is the oracle-agreement check: the
 // analytic platch queue simulation predicts the concurrent pipeline's
-// occupancy/stall behavior. At one shard the virtual-time measurement must
-// reproduce queueSim to float tolerance (same arithmetic, incremental
-// evaluation); more shards split the arrival stream, so per-shard queue
-// pressure — the makespan overhead — must never exceed the serial
-// prediction.
+// occupancy/stall behavior, and the monitor's virtual-time measurement
+// must reproduce queueSim to float tolerance (same arithmetic, incremental
+// evaluation). It holds at the registry default geometry — the one every
+// CLI, the service and latchbench run — on a low-flag (apache) and a
+// high-flag (astar) stream, and the monitor sees exactly the analytic
+// filter's positives.
 func TestConcurrentQueueOracleAgreement(t *testing.T) {
-	p := workload.MustGet("apache")
-	acfg := shortCfg()
-	acfg.Events = 200_000
-	oracle, err := Run(p, acfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	const tol = 1e-9
-	serial, err := RunConcurrent(p, concCfg(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := math.Abs(serial.QueueOverheadSimple - oracle.QueueOverheadSimple); d > tol {
-		t.Fatalf("serial simple queue overhead %.12f vs oracle %.12f (|Δ|=%g)",
-			serial.QueueOverheadSimple, oracle.QueueOverheadSimple, d)
-	}
-	if d := math.Abs(serial.QueueOverheadOptimized - oracle.QueueOverheadOptimized); d > tol {
-		t.Fatalf("serial optimized queue overhead %.12f vs oracle %.12f (|Δ|=%g)",
-			serial.QueueOverheadOptimized, oracle.QueueOverheadOptimized, d)
-	}
-	for _, shards := range shardSweep[1:] {
-		got, err := RunConcurrent(p, concCfg(shards))
+	opts := engine.RunOptions{Events: 200_000}
+	for _, name := range []string{"apache", "astar"} {
+		p := workload.MustGet(name)
+		ab, err := engine.New("platch")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.QueueOverheadSimple > oracle.QueueOverheadSimple+tol {
-			t.Fatalf("shards=%d: queue overhead %.12f exceeds serial oracle %.12f",
-				shards, got.QueueOverheadSimple, oracle.QueueOverheadSimple)
+		ares, err := engine.RunProfile(context.Background(), ab, p, opts)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if got.StallsSimple > serial.StallsSimple {
-			t.Fatalf("shards=%d: %d stalls exceed serial %d — sharding made pressure worse",
-				shards, got.StallsSimple, serial.StallsSimple)
+		oracle := ares.(Result)
+		cb, err := engine.New("cplatch")
+		if err != nil {
+			t.Fatal(err)
+		}
+		cres, err := engine.RunProfile(context.Background(), cb, p, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := cres.(ConcurrentResult)
+		if d := math.Abs(got.QueueOverheadSimple - oracle.QueueOverheadSimple); d > tol {
+			t.Errorf("%s: simple queue overhead %.12f vs oracle %.12f (|Δ|=%g)",
+				name, got.QueueOverheadSimple, oracle.QueueOverheadSimple, d)
+		}
+		if d := math.Abs(got.QueueOverheadOptimized - oracle.QueueOverheadOptimized); d > tol {
+			t.Errorf("%s: optimized queue overhead %.12f vs oracle %.12f (|Δ|=%g)",
+				name, got.QueueOverheadOptimized, oracle.QueueOverheadOptimized, d)
+		}
+		if positives := ab.(*backend).filt.positives; got.FlaggedEvents != positives {
+			t.Errorf("%s: monitor saw %d flagged events, analytic filter %d positives",
+				name, got.FlaggedEvents, positives)
 		}
 	}
 }
 
-// TestConcurrentDeterminismPin is the determinism satellite: repeated runs
-// at shard counts {1,2,4,8} must produce byte-identical flagged logs,
-// cycle tables, monitor taint hashes, and session snapshots — and the
-// deterministic core must additionally be identical ACROSS shard counts.
-// Real ring statistics are scheduling-dependent and deliberately absent
-// from every assertion here.
+// TestConcurrentDigestPin pins the monitor's digests on a low-flag and a
+// high-flag stream. The constants are the digests of the Seq-ordered
+// flagged log and domain set; folding each record into FlagDigest as it
+// arrives must reproduce them.
+func TestConcurrentDigestPin(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		events    uint64
+		flag      uint64
+		taintHash uint64
+		domains   int
+	}{
+		{"apache", 200_000, 0x28bd8372cfe8ad50, 0x2a41d83d689f8150, 11},
+		{"astar", 60_000, 0x0c4258b7934a12d9, 0x6f6e645ee7302e95, 168},
+	} {
+		cfg := DefaultConfig()
+		cfg.Events = c.events
+		res, err := RunConcurrent(workload.MustGet(c.name), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.FlagDigest != c.flag || res.MonitorTaintHash != c.taintHash || res.MonitorDomains != c.domains {
+			t.Errorf("%s/%d: digest %#x taint hash %#x domains %d, want %#x %#x %d", c.name, c.events,
+				res.FlagDigest, res.MonitorTaintHash, res.MonitorDomains, c.flag, c.taintHash, c.domains)
+		}
+	}
+}
+
+// TestConcurrentDeterminismPin is the determinism check: repeated runs
+// must produce identical flag digests, cycle tables, monitor taint hashes,
+// queue measurements and session snapshots. Real ring statistics are
+// scheduling-dependent and deliberately absent from every assertion here.
 func TestConcurrentDeterminismPin(t *testing.T) {
 	runs := 50
 	if testing.Short() {
@@ -121,105 +138,43 @@ func TestConcurrentDeterminismPin(t *testing.T) {
 		res  ConcurrentResult
 		snap engine.Snapshot
 	}
-	one := func(shards int) pinned {
-		cfg := concCfg(shards)
-		cfg.Events = 60_000
-		res, s, err := engine.RunProfileSession(context.Background(), NewConcurrent(cfg), p,
-			engine.RunOptions{Events: cfg.Events})
+	one := func() pinned {
+		res, s, err := engine.RunProfileSession(context.Background(), NewConcurrent(DefaultConfig()), p,
+			engine.RunOptions{Events: 60_000})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return pinned{res: res.(ConcurrentResult), snap: s.Snapshot()}
 	}
-	var ref pinned // shards=1 reference for the cross-shard-count contract
-	for si, shards := range shardSweep {
-		first := one(shards)
-		if si == 0 {
-			ref = first
+	first := one()
+	for run := 1; run < runs; run++ {
+		got := one()
+		if got.res.FlagDigest != first.res.FlagDigest || got.res.FlaggedEvents != first.res.FlaggedEvents {
+			t.Fatalf("run %d: flagged log diverged", run)
 		}
-		for run := 1; run < runs; run++ {
-			got := one(shards)
-			if got.res.FlagDigest != first.res.FlagDigest ||
-				!reflect.DeepEqual(got.res.Flagged, first.res.Flagged) {
-				t.Fatalf("shards=%d run %d: flagged log diverged", shards, run)
-			}
-			if got.res.CycleTable() != first.res.CycleTable() {
-				t.Fatalf("shards=%d run %d: cycle table diverged:\n got %+v\nwant %+v",
-					shards, run, got.res.CycleTable(), first.res.CycleTable())
-			}
-			if got.res.MonitorTaintHash != first.res.MonitorTaintHash ||
-				got.res.MonitorDomains != first.res.MonitorDomains {
-				t.Fatalf("shards=%d run %d: monitor taint state diverged", shards, run)
-			}
-			if got.snap != first.snap {
-				t.Fatalf("shards=%d run %d: session snapshot diverged:\n got %+v\nwant %+v",
-					shards, run, got.snap, first.snap)
-			}
-			// The virtual-time queue measurement is deterministic at a
-			// fixed shard count.
-			if got.res.QueueOverheadSimple != first.res.QueueOverheadSimple ||
-				got.res.QueueOverheadOptimized != first.res.QueueOverheadOptimized ||
-				got.res.StallsSimple != first.res.StallsSimple ||
-				!reflect.DeepEqual(got.res.ShardStats, first.res.ShardStats) {
-				t.Fatalf("shards=%d run %d: queue measurement diverged", shards, run)
-			}
+		if got.res.CycleTable() != first.res.CycleTable() {
+			t.Fatalf("run %d: cycle table diverged:\n got %+v\nwant %+v",
+				run, got.res.CycleTable(), first.res.CycleTable())
 		}
-		// Shard-count invariance of the deterministic core.
-		if first.res.FlagDigest != ref.res.FlagDigest ||
-			!reflect.DeepEqual(first.res.Flagged, ref.res.Flagged) {
-			t.Fatalf("shards=%d: flagged log differs from serial", shards)
+		if got.res.MonitorTaintHash != first.res.MonitorTaintHash ||
+			got.res.MonitorDomains != first.res.MonitorDomains {
+			t.Fatalf("run %d: monitor taint state diverged", run)
 		}
-		if first.res.MonitorTaintHash != ref.res.MonitorTaintHash ||
-			first.res.MonitorDomains != ref.res.MonitorDomains {
-			t.Fatalf("shards=%d: monitor taint state differs from serial", shards)
+		if got.snap != first.snap {
+			t.Fatalf("run %d: session snapshot diverged:\n got %+v\nwant %+v", run, got.snap, first.snap)
 		}
-		if first.res.CycleTable() != ref.res.CycleTable() {
-			t.Fatalf("shards=%d: cycle table differs from serial:\n got %+v\nwant %+v",
-				shards, first.res.CycleTable(), ref.res.CycleTable())
-		}
-		if first.snap != ref.snap {
-			t.Fatalf("shards=%d: session snapshot differs from serial", shards)
+		if got.res.QueueOverheadSimple != first.res.QueueOverheadSimple ||
+			got.res.QueueOverheadOptimized != first.res.QueueOverheadOptimized ||
+			got.res.StallsSimple != first.res.StallsSimple ||
+			!reflect.DeepEqual(got.res.ShardStats, first.res.ShardStats) {
+			t.Fatalf("run %d: queue measurement diverged", run)
 		}
 	}
 }
 
-// TestConcurrentShardPartition checks the region partition: every shard's
-// flagged events carry only domains congruent to its index, and the shard
-// tables are disjoint (their domain counts sum to the merged count).
-func TestConcurrentShardPartition(t *testing.T) {
-	cfg := concCfg(4)
-	res, err := RunConcurrent(workload.MustGet("apache"), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var events uint64
-	domains := 0
-	for _, st := range res.ShardStats {
-		events += st.Events
-		domains += st.Domains
-	}
-	if events != res.FlaggedEvents {
-		t.Fatalf("shard events sum %d != merged %d", events, res.FlaggedEvents)
-	}
-	if domains != res.MonitorDomains {
-		t.Fatalf("shard domain counts sum %d != merged %d (tables overlap)", domains, res.MonitorDomains)
-	}
-	seen := make(map[uint64]bool, len(res.Flagged))
-	var prev uint64
-	for i, f := range res.Flagged {
-		if i > 0 && f.Seq <= prev {
-			t.Fatalf("merged log not strictly Seq-ordered at %d", i)
-		}
-		prev = f.Seq
-		if seen[f.Seq] {
-			t.Fatalf("duplicate seq %d in merged log", f.Seq)
-		}
-		seen[f.Seq] = true
-	}
-}
-
-// TestConcurrentRegistryAndSharding covers the registry path the CLIs use:
-// look up "cplatch", configure the shard count through engine.Sharded, run.
+// TestConcurrentRegistryAndSharding covers the registry path the CLIs use
+// and the engine.Sharded surface latchbench still calls: one monitor core
+// accepts a shard count of 1 only, and reports one shard.
 func TestConcurrentRegistryAndSharding(t *testing.T) {
 	sch, err := engine.Lookup("cplatch")
 	if err != nil {
@@ -230,10 +185,12 @@ func TestConcurrentRegistryAndSharding(t *testing.T) {
 	if !ok {
 		t.Fatal("registered cplatch backend does not implement engine.Sharded")
 	}
-	if err := sharded.SetShards(0); err == nil {
-		t.Fatal("SetShards(0) accepted")
+	for _, n := range []int{0, 2, 4} {
+		if err := sharded.SetShards(n); err == nil {
+			t.Fatalf("SetShards(%d) accepted", n)
+		}
 	}
-	if err := sharded.SetShards(2); err != nil {
+	if err := sharded.SetShards(1); err != nil {
 		t.Fatal(err)
 	}
 	res, err := engine.RunProfile(context.Background(), b, workload.MustGet("gcc"),
@@ -242,11 +199,9 @@ func TestConcurrentRegistryAndSharding(t *testing.T) {
 		t.Fatal(err)
 	}
 	cres := res.(ConcurrentResult)
-	if cres.Shards != 2 {
-		t.Fatalf("shards = %d, want 2", cres.Shards)
-	}
-	if err := sharded.SetShards(4); err == nil {
-		t.Fatal("SetShards after Init accepted")
+	if cres.Shards != 1 || len(cres.ShardStats) != 1 || cres.Flagged != nil {
+		t.Fatalf("shards %d, %d shard stats, flagged log %v; want 1, 1, nil",
+			cres.Shards, len(cres.ShardStats), cres.Flagged)
 	}
 	if _, _, err := engine.RunProfileSession(context.Background(), b, workload.MustGet("gcc"),
 		engine.RunOptions{Events: 1000}); err == nil {
@@ -256,13 +211,11 @@ func TestConcurrentRegistryAndSharding(t *testing.T) {
 
 // TestConcurrentFinishIdempotent pins the defensive-finalization contract
 // the differential checker relies on: a second Finish returns the memoized
-// result instead of re-closing rings or re-joining shards.
+// result instead of re-closing the ring or re-joining the monitor.
 func TestConcurrentFinishIdempotent(t *testing.T) {
-	cfg := concCfg(2)
-	cfg.Events = 20_000
-	b := NewConcurrent(cfg)
+	b := NewConcurrent(DefaultConfig())
 	res, s, err := engine.RunProfileSession(context.Background(), b, workload.MustGet("apache"),
-		engine.RunOptions{Events: cfg.Events})
+		engine.RunOptions{Events: 20_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,15 +226,15 @@ func TestConcurrentFinishIdempotent(t *testing.T) {
 }
 
 // TestConcurrentZeroEvents: an empty stream yields a clean zero result, no
-// NaNs, and joined shards.
+// NaNs, and a joined monitor.
 func TestConcurrentZeroEvents(t *testing.T) {
-	cfg := concCfg(4)
+	cfg := concCfg()
 	cfg.Events = 0
 	res, err := RunConcurrent(workload.MustGet("gcc"), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.FlaggedEvents != 0 || len(res.Flagged) != 0 {
+	if res.FlaggedEvents != 0 {
 		t.Fatalf("flagged %d on an empty stream", res.FlaggedEvents)
 	}
 	for _, c := range res.Columns() {
@@ -291,16 +244,13 @@ func TestConcurrentZeroEvents(t *testing.T) {
 	}
 }
 
+// TestConcurrentConfigValidation: a queue with no slots is rejected at
+// Init, before the monitor starts, instead of faulting in the monitor.
 func TestConcurrentConfigValidation(t *testing.T) {
-	cfg := DefaultConcurrentConfig()
-	cfg.Shards = 0
+	cfg := concCfg()
+	cfg.QueueDepth = 0
 	if _, err := RunConcurrent(workload.MustGet("gcc"), cfg); err == nil {
-		t.Fatal("zero shards accepted")
-	}
-	cfg = DefaultConcurrentConfig()
-	cfg.RingCapacity = 3
-	if _, err := RunConcurrent(workload.MustGet("gcc"), cfg); err == nil {
-		t.Fatal("non-power-of-two ring accepted")
+		t.Fatal("zero queue depth accepted")
 	}
 }
 
@@ -309,12 +259,12 @@ func TestConcurrentConfigValidation(t *testing.T) {
 // unchanged (the ring statistics depend on scheduling and are excluded).
 func TestRunConcurrentObserver(t *testing.T) {
 	p := workload.MustGet("apache")
-	plain, err := RunConcurrent(p, concCfg(2))
+	plain, err := RunConcurrent(p, concCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
 	mx := telemetry.NewMetrics()
-	cfg := concCfg(2)
+	cfg := concCfg()
 	cfg.Observer = mx
 	observed, err := RunConcurrent(p, cfg)
 	if err != nil {

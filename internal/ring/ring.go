@@ -1,5 +1,5 @@
 // Package ring provides the lock-free single-producer single-consumer ring
-// buffer that decouples the monitored core from the DIFT monitor shards in
+// buffer that decouples the monitored core from the DIFT monitor core in
 // the concurrent P-LATCH backend (§5.2's commit-log FIFO, realized).
 //
 // The design follows the classic bounded SPSC queue used by decoupled

@@ -23,8 +23,9 @@ type WorkloadJob struct {
 	// Events is the stream length; 0 selects the facade default. The
 	// server answers 400 above MaxRunEvents.
 	Events uint64 `json:"events,omitempty"`
-	// Shards is the monitor shard count for sharded backends; 0 keeps the
-	// backend default.
+	// Shards accepts 0 or 1 and has no effect: every backend runs one
+	// monitor. It stays for latchbench compatibility (see
+	// engine.BatchBackend); the server answers 400 for any other value.
 	Shards int `json:"shards,omitempty"`
 	// Deadline bounds the run (e.g. "2s"). Empty uses the server default;
 	// the server maximum caps it either way.

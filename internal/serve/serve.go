@@ -382,7 +382,7 @@ func (s *Server) runWorkload(ctx context.Context, st *stream, ws *workerState, j
 		s.fail(st, err)
 		return
 	}
-	b, err := engine.New(job.Backend, job.Shards)
+	b, err := engine.New(job.Backend)
 	if err != nil {
 		s.fail(st, err)
 		return

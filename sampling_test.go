@@ -8,8 +8,8 @@ import (
 	"latch/internal/platch"
 )
 
-// sampledMonitorView is the shard-count-independent slice of a concurrent
-// P-LATCH result: what the merged monitor saw, not how the shards split it.
+// sampledMonitorView is the deterministic monitor-side slice of a
+// concurrent P-LATCH result: what the monitor saw, without ring statistics.
 type sampledMonitorView struct {
 	Events           uint64
 	FlaggedEvents    uint64
@@ -43,11 +43,11 @@ func runSampledCplatch(t *testing.T, pol latch.Policy, shards int) sampledMonito
 	}
 }
 
-// TestSampledTaintSetShardInvariant is the cross-backend determinism
-// property of the seeded sampler: the same SampleSeed selects the same
-// tainted subset whatever the monitor shard count — the merged monitor
-// taint state and flagged log of the concurrent P-LATCH backend are
-// identical for shards 1, 2, 4, and 8, and across repeated runs.
+// TestSampledTaintSetShardInvariant is the determinism property of the
+// seeded sampler under the concurrent P-LATCH backend: the same SampleSeed
+// selects the same tainted subset, so the monitor taint state and flagged
+// log are identical across repeated runs and whether the request leaves
+// Shards at 0 or names the one monitor explicitly.
 func TestSampledTaintSetShardInvariant(t *testing.T) {
 	pol := latch.DefaultPolicy()
 	pol.Sampling = latch.Sampling{SampleFraction: 0.5, SampleSeed: 7}
@@ -55,7 +55,7 @@ func TestSampledTaintSetShardInvariant(t *testing.T) {
 	if want.MonitorDomains == 0 {
 		t.Fatal("sampled run tainted no domains; the property would be vacuous")
 	}
-	for _, shards := range []int{1, 2, 4, 8} {
+	for _, shards := range []int{0, 1} {
 		if got := runSampledCplatch(t, pol, shards); got != want {
 			t.Errorf("shards=%d monitor view %+v, want %+v", shards, got, want)
 		}
@@ -68,9 +68,9 @@ func TestSampledTaintSetShardInvariant(t *testing.T) {
 func TestSampledTaintSetSeedSensitivity(t *testing.T) {
 	pol := latch.DefaultPolicy()
 	pol.Sampling = latch.Sampling{SampleFraction: 0.5, SampleSeed: 7}
-	a := runSampledCplatch(t, pol, 2)
+	a := runSampledCplatch(t, pol, 0)
 	pol.Sampling.SampleSeed = 8
-	b := runSampledCplatch(t, pol, 2)
+	b := runSampledCplatch(t, pol, 0)
 	// The short stream stays inside one taint domain, so the discriminating
 	// signal is the flagged log, not the merged domain set.
 	if a == b {
